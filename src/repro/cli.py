@@ -29,7 +29,7 @@ on the worker path, default ``$REPRO_CELL_TIMEOUT``), ``--chunk K``
 (cells per worker dispatch batch, default ``$REPRO_CHUNK`` or
 auto-tuned) and ``--lanes L`` (lane-batch width: up to L compatible
 cells simulated in lockstep per batch, default ``$REPRO_LANES`` or 1;
-``repro profile`` requires ``--lanes 1``).
+``repro profile --events`` requires ``--lanes 1``).
 """
 
 from __future__ import annotations
@@ -182,10 +182,10 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=("tottime", "cumulative", "ncalls"),
                          help="cProfile sort order")
     profile.add_argument("--lanes", type=int, default=None, metavar="L",
-                         help="must be 1: the profiler instruments one "
-                              "core's stages and attaches per-cycle "
-                              "subscribers, which lane batching bypasses "
-                              "(default $REPRO_LANES or 1)")
+                         help="profile L copies of the kernel in one lane "
+                              "batch, splitting time into per-stage and "
+                              "vectorized-kernel buckets; --events needs "
+                              "1 (default $REPRO_LANES or 1)")
 
     replay = sub.add_parser(
         "replay", help="re-run a crash-diagnostic bundle and report "

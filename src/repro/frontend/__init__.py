@@ -1,6 +1,6 @@
 """Front end: branch prediction and trace-driven fetch."""
 
-from .bimodal import BimodalPredictor, SaturatingCounter
+from .bimodal import BimodalPredictor
 from .btb import BranchTargetBuffer
 from .fetch import FetchedInstr, FetchUnit
 from .gshare import GsharePredictor
@@ -8,7 +8,7 @@ from .predictor import BranchPredictor, make_predictor
 from .ras import ReturnAddressStack
 from .tage import TagePredictor
 
-__all__ = ["BimodalPredictor", "SaturatingCounter", "BranchTargetBuffer",
-           "FetchedInstr", "FetchUnit", "GsharePredictor",
+__all__ = ["BimodalPredictor", "BranchTargetBuffer", "FetchedInstr",
+           "FetchUnit", "GsharePredictor",
            "BranchPredictor", "make_predictor", "ReturnAddressStack",
            "TagePredictor"]

@@ -3,39 +3,28 @@
 from __future__ import annotations
 
 
-class SaturatingCounter:
-    """An n-bit saturating counter predicting taken when >= midpoint."""
-
-    def __init__(self, bits: int = 2, value: int = None):
-        self.max = (1 << bits) - 1
-        self.mid = 1 << (bits - 1)
-        self.value = self.mid if value is None else value
-
-    @property
-    def taken(self) -> bool:
-        return self.value >= self.mid
-
-    def update(self, taken: bool) -> None:
-        if taken:
-            self.value = min(self.max, self.value + 1)
-        else:
-            self.value = max(0, self.value - 1)
-
-
 class BimodalPredictor:
-    """PC-indexed table of 2-bit counters."""
+    """PC-indexed table of 2-bit counters.
+
+    The table is a flat ``list`` of ints (0..3, taken when >= 2), so
+    building one is a single ``[2] * entries`` allocation.
+    """
 
     def __init__(self, entries: int = 4096):
         if entries & (entries - 1):
             raise ValueError("entries must be a power of two")
         self.entries = entries
-        self.table = [SaturatingCounter() for _ in range(entries)]
-
-    def _index(self, pc: int) -> int:
-        return pc & (self.entries - 1)
+        self._mask = entries - 1
+        self.table = [2] * entries           # weakly taken
 
     def predict(self, pc: int) -> bool:
-        return self.table[self._index(pc)].taken
+        return self.table[pc & self._mask] >= 2
 
     def update(self, pc: int, taken: bool) -> None:
-        self.table[self._index(pc)].update(taken)
+        index = pc & self._mask
+        value = self.table[index]
+        if taken:
+            if value < 3:
+                self.table[index] = value + 1
+        elif value:
+            self.table[index] = value - 1

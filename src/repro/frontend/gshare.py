@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from .bimodal import SaturatingCounter
-
 
 class GsharePredictor:
-    """Global-history predictor with a shared 2-bit counter table."""
+    """Global-history predictor with a shared table of 2-bit counters
+    (a flat ``list`` of ints, taken when >= 2)."""
 
     def __init__(self, entries: int = 4096, history_bits: int = 12):
         if entries & (entries - 1):
@@ -14,15 +13,19 @@ class GsharePredictor:
         self.entries = entries
         self.history_bits = history_bits
         self.history = 0
-        self.table = [SaturatingCounter() for _ in range(entries)]
-
-    def _index(self, pc: int) -> int:
-        return (pc ^ self.history) & (self.entries - 1)
+        self._mask = entries - 1
+        self.table = [2] * entries           # weakly taken
 
     def predict(self, pc: int) -> bool:
-        return self.table[self._index(pc)].taken
+        return self.table[(pc ^ self.history) & self._mask] >= 2
 
     def update(self, pc: int, taken: bool) -> None:
-        self.table[self._index(pc)].update(taken)
+        index = (pc ^ self.history) & self._mask
+        value = self.table[index]
+        if taken:
+            if value < 3:
+                self.table[index] = value + 1
+        elif value:
+            self.table[index] = value - 1
         self.history = ((self.history << 1) | int(taken)) \
             & ((1 << self.history_bits) - 1)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 
 class Cache:
@@ -21,8 +21,10 @@ class Cache:
         self.num_sets = size_bytes // (ways * line_size)
         if self.num_sets & (self.num_sets - 1):
             raise ValueError(f"{name}: set count must be a power of two")
-        # per-set OrderedDict: line_id -> dirty flag, LRU order
-        self._sets = [OrderedDict() for _ in range(self.num_sets)]
+        # per-set OrderedDict: line_id -> dirty flag, LRU order; a set
+        # is created on its first insert, so probes of an untouched set
+        # (None) allocate nothing
+        self._sets: List[Optional[OrderedDict]] = [None] * self.num_sets
         self.accesses = 0
         self.hits = 0
         self.misses = 0
@@ -30,7 +32,7 @@ class Cache:
     def line_id(self, addr: int) -> int:
         return addr // self.line_size
 
-    def _set_for(self, line: int) -> OrderedDict:
+    def _set_for(self, line: int) -> Optional[OrderedDict]:
         return self._sets[line & (self.num_sets - 1)]
 
     def lookup(self, addr: int, is_write: bool = False) -> bool:
@@ -38,7 +40,7 @@ class Cache:
         line = self.line_id(addr)
         cache_set = self._set_for(line)
         self.accesses += 1
-        if line in cache_set:
+        if cache_set is not None and line in cache_set:
             cache_set.move_to_end(line)
             if is_write:
                 cache_set[line] = True
@@ -50,13 +52,17 @@ class Cache:
     def contains(self, addr: int) -> bool:
         """Probe without statistics or LRU effects (snooping/tests)."""
         line = self.line_id(addr)
-        return line in self._set_for(line)
+        cache_set = self._set_for(line)
+        return cache_set is not None and line in cache_set
 
     def insert(self, addr: int, dirty: bool = False
                ) -> Optional[Tuple[int, bool]]:
         """Fill a line; returns (evicted line id, was dirty) if any."""
         line = self.line_id(addr)
-        cache_set = self._set_for(line)
+        index = line & (self.num_sets - 1)
+        cache_set = self._sets[index]
+        if cache_set is None:
+            cache_set = self._sets[index] = OrderedDict()
         victim = None
         if line in cache_set:
             cache_set.move_to_end(line)
@@ -71,7 +77,7 @@ class Cache:
     def invalidate(self, addr: int) -> bool:
         line = self.line_id(addr)
         cache_set = self._set_for(line)
-        if line in cache_set:
+        if cache_set is not None and line in cache_set:
             del cache_set[line]
             return True
         return False

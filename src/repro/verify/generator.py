@@ -224,9 +224,10 @@ def _random_program(rng: random.Random, index: int) -> VerifyProgram:
     budget = MAX_TOTAL_OPS
     for t in range(n_threads):
         # keep the whole program inside the oracle's tractable range:
-        # its interleaving state space is exponential in per-thread op
-        # counts, so threads share a total budget (leaving >= 2 ops for
-        # each thread still to come)
+        # its state space (per-thread progress x memory image) grows
+        # exponentially with per-thread op counts, even though its memo
+        # keeps only distinct outcomes per state, so threads share a
+        # total budget (leaving >= 2 ops for each thread still to come)
         cap = min(MAX_OPS_PER_THREAD, budget - 2 * (n_threads - 1 - t))
         n_ops = rng.randint(2, max(2, cap))
         budget -= n_ops

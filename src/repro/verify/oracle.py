@@ -32,9 +32,14 @@ grammar), so CoRR needs no special case.
 
 Both searches memoize on (per-thread progress, memory image) and return
 *futures* — the set of (bindings-made-after-here, final-memory) pairs —
-so shared suffixes are explored once.  Program sizes are capped by the
-generator grammar (≤3 threads × ≤8 memory ops), keeping the state space
-a few thousand nodes.
+so shared suffixes are explored once.  A future's bindings are an
+order-free ``frozenset``: each ``(thread, op)`` binds once per path and
+the canonical outcome sorts them anyway, so two perform orders that
+bind the same values to the same loads and leave the same memory are
+one future.  The memo therefore grows with the number of distinct
+outcomes reachable from a state, not with the number of perform orders
+reaching them — the generator's ≤12-op programs stay at a few thousand
+states of a handful of futures each.
 """
 
 from __future__ import annotations
@@ -53,7 +58,9 @@ Outcome = Tuple[Tuple[Tuple[Tuple[int, int], int], ...],
                 Tuple[Tuple[int, int], ...]]
 
 Binding = Tuple[Tuple[int, int], int]
-Future = Tuple[Tuple[Binding, ...], Tuple[int, ...]]
+Future = Tuple[FrozenSet[Binding], Tuple[int, ...]]
+
+_NO_BINDS: FrozenSet[Binding] = frozenset()
 
 
 def format_outcome(outcome: Outcome) -> str:
@@ -63,7 +70,7 @@ def format_outcome(outcome: Outcome) -> str:
     return f"{reads or '(no loads)'} | {mem}".strip()
 
 
-def _canonical(bindings: Tuple[Binding, ...],
+def _canonical(bindings: FrozenSet[Binding],
                memory: Tuple[int, ...],
                addrs: Tuple[int, ...]) -> Outcome:
     return (tuple(sorted(bindings)),
@@ -116,7 +123,7 @@ def _tso_outcomes(program: VerifyProgram) -> Set[Outcome]:
                             value = memory[addr_index[op.addr]]
                         bind = ((t, pcs[t]), value)
                         for binds, final in explore(pcs2, buffers, memory):
-                            futures.add(((bind,) + binds, final))
+                            futures.add((binds | {bind}, final))
                     else:                    # fence, buffer empty
                         for sub in explore(pcs2, buffers, memory):
                             futures.add(sub)
@@ -130,7 +137,7 @@ def _tso_outcomes(program: VerifyProgram) -> Set[Outcome]:
                 for sub in explore(pcs, buf2, mem2):
                     futures.add(sub)
         if not moved:
-            futures.add(((), memory))
+            futures.add((_NO_BINDS, memory))
         result = frozenset(futures)
         memo[key] = result
         return result
@@ -208,12 +215,12 @@ def _rvwmo_outcomes(program: VerifyProgram) -> Set[Outcome]:
                         value = memory[addr_index[op.addr]]
                     bind = ((t, i), value)
                     for binds, final in explore(done2, memory):
-                        futures.add(((bind,) + binds, final))
+                        futures.add((binds | {bind}, final))
                 else:                        # fence: pure ordering
                     for sub in explore(done2, memory):
                         futures.add(sub)
         if not moved:
-            futures.add(((), memory))
+            futures.add((_NO_BINDS, memory))
         result = frozenset(futures)
         memo[key] = result
         return result
@@ -225,20 +232,16 @@ def _rvwmo_outcomes(program: VerifyProgram) -> Set[Outcome]:
 # -- public API --------------------------------------------------------------
 
 @lru_cache(maxsize=256)
-def _allowed_cached(model: str, blob: str) -> FrozenSet[Outcome]:
-    import json
-    program = VerifyProgram.from_dict(json.loads(blob))
+def allowed_outcomes(program: VerifyProgram,
+                     model: str) -> FrozenSet[Outcome]:
+    """Every architecturally allowed outcome of ``program`` under
+    ``model`` (``"tso"`` or ``"rvwmo"``).
+
+    Cached on the (frozen, hashable) program's content: a campaign asks
+    once per (model, policy) combo.
+    """
     if model == "tso":
         return frozenset(_tso_outcomes(program))
     if model == "rvwmo":
         return frozenset(_rvwmo_outcomes(program))
     raise ValueError(f"unknown memory model {model!r}; choose from {MODELS}")
-
-
-def allowed_outcomes(program: VerifyProgram,
-                     model: str) -> FrozenSet[Outcome]:
-    """Every architecturally allowed outcome of ``program`` under
-    ``model`` (``"tso"`` or ``"rvwmo"``)."""
-    import json
-    blob = json.dumps(program.to_dict(), sort_keys=True)
-    return _allowed_cached(model, blob)

@@ -1,6 +1,10 @@
 """Cache hierarchy, DRAM, prefetcher, TLB."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.memory import (Cache, DRAMModel, HierarchyConfig, MemoryHierarchy,
                           StreamPrefetcher, TLB)
@@ -46,6 +50,79 @@ class TestCache:
     def test_geometry_validation(self):
         with pytest.raises(ValueError):
             Cache("bad", 1000, 3, 1)
+
+    def test_probing_untouched_sets_allocates_nothing(self):
+        c = Cache("L2", 256 * 1024, 8, hit_latency=12)
+        for addr in range(0, 64 * 64, 64):
+            assert not c.lookup(addr)
+            assert not c.lookup(addr, is_write=True)
+            assert not c.contains(addr)
+            assert not c.invalidate(addr)
+        assert c._sets == [None] * c.num_sets
+        c.insert(3 * 64)
+        assert [i for i, s in enumerate(c._sets) if s is not None] == [3]
+
+
+@st.composite
+def _cache_ops(draw):
+    """200 (op, byte address) pairs over a small pool of lines, so sets
+    fill, evict and re-touch lines that are already present."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    lines = draw(st.integers(1, 24))
+    kinds = ("lookup", "write", "insert", "dirty", "invalidate", "contains")
+    return [(rng.choice(kinds), rng.randrange(lines) * 64 + rng.randrange(64))
+            for _ in range(200)]
+
+
+class TestCacheMatchesReference:
+    """The lazily allocated sets behave exactly like a cache whose sets
+    all exist up front: per-set LRU lists of ``[line, dirty]``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(ops=_cache_ops(), sets=st.sampled_from([1, 2, 8]),
+           ways=st.integers(1, 4))
+    def test_lru_eviction_and_dirty_state(self, ops, sets, ways):
+        c = Cache("L1", sets * ways * 64, ways, hit_latency=1)
+        ref = [[] for _ in range(sets)]        # LRU first
+        hits = misses = 0
+        touched = set()
+        for op, addr in ops:
+            line = addr // 64
+            lines = ref[line % sets]
+            slot = next((s for s in lines if s[0] == line), None)
+            if op in ("lookup", "write"):
+                if slot is not None:
+                    hits += 1
+                    lines.remove(slot)
+                    lines.append(slot)
+                    slot[1] |= op == "write"
+                else:
+                    misses += 1
+                assert c.lookup(addr, is_write=op == "write") == \
+                    (slot is not None)
+            elif op in ("insert", "dirty"):
+                dirty = op == "dirty"
+                touched.add(line % sets)
+                victim = None
+                if slot is not None:
+                    lines.remove(slot)
+                    slot[1] |= dirty
+                elif len(lines) >= ways:
+                    victim = tuple(lines.pop(0))
+                lines.append(slot or [line, dirty])
+                assert c.insert(addr, dirty=dirty) == victim
+            elif op == "invalidate":
+                if slot is not None:
+                    lines.remove(slot)
+                assert c.invalidate(addr) == (slot is not None)
+            else:
+                assert c.contains(addr) == (slot is not None)
+            assert [[list(kv) for kv in (s or {}).items()]
+                    for s in c._sets] == ref
+            assert (c.accesses, c.hits, c.misses) == \
+                (hits + misses, hits, misses)
+            assert {i for i, s in enumerate(c._sets)
+                    if s is not None} == touched
 
 
 class TestDRAM:

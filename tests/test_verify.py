@@ -8,6 +8,7 @@ bundle -> regression snippet), crash-directory capping, and the
 ``repro replay`` exit-code contract.
 """
 
+import hashlib
 import json
 import os
 import pathlib
@@ -104,6 +105,37 @@ class TestGrid:
         laned = verify_program(CLASSIC_SHAPES["sb"], lanes=4)
         assert laned["violations"] == serial["violations"] == []
         assert laned["combos"] == serial["combos"]
+
+
+# -- the interleaving oracle ------------------------------------------------
+
+#: sha256 of every allowed-outcome set of seed 7's 60-program corpus,
+#: recorded from the oracle that memoized one future per perform order
+ORACLE_DIGESTS = {
+    "tso": "8808f2bc00277e6cc2edec63292be64275d3bb41b20d57884c28c1a23dbb1034",
+    "rvwmo":
+        "b4f5003aa24812138859cff8503a1f78b1a472a0c941e524835c2e470c294ad3",
+}
+
+
+class TestOracle:
+    @pytest.mark.parametrize("model", sorted(ORACLE_DIGESTS))
+    def test_seed7_corpus_outcomes_pinned(self, model):
+        table = [sorted(allowed_outcomes(program, model))
+                 for program in generate_programs(7, 60)]
+        digest = hashlib.sha256(json.dumps(table).encode()).hexdigest()
+        assert digest == ORACLE_DIGESTS[model]
+
+    @pytest.mark.timeout(30)
+    def test_former_blowups_stay_small(self):
+        # programs whose perform-order memo took minutes (and GBs);
+        # the order-free memo keeps one future per distinct outcome
+        for seed, index, tso, rvwmo in ((2, 53, 29, 48), (2, 54, 24, 24),
+                                        (1700058, 9, 8, 8)):
+            program = generate_programs(seed, index + 1)[index]
+            assert program.name == f"p{index:04d}"
+            assert len(allowed_outcomes(program, "tso")) == tso
+            assert len(allowed_outcomes(program, "rvwmo")) == rvwmo
 
 
 # -- checkpointed campaigns -------------------------------------------------
