@@ -16,18 +16,10 @@ bit-identical against the serial ones.  ``--gate RATIO`` turns the
 comparison into a pass/fail check for CI: exit 1 if parallel wall
 exceeds ``RATIO x`` serial wall (skipped, and recorded as skipped,
 on single-CPU hosts where a speedup is physically unattainable) and
-exit 2 if the stats diverge.  ``--lanes L`` measures the lane-batched
-engine two ways: the heterogeneous sweep (same cells, workers=1,
-lockstep batches of L — end-to-end occupancy included) and a
-*saturated* pass (L copies of each kernel filling one batch — the
-engine's full-occupancy throughput, reported per kernel as
-``lane_serial_equiv_kcps`` = simulated cycles summed across lanes /
-wall, with a ``lanes_vs_serial_geomean`` across kernels).
-``--lane-gate R`` is the lane CI check: the saturated geomean must be
->= R — identity always enforced, the throughput check skipped on
-1-CPU hosts.  Results land in ``benchmarks/out/BENCH_speed.json`` —
+exit 2 if the stats diverge.  Results land in
+``benchmarks/out/BENCH_speed.json`` (schema ``bench-speed/5``) —
 per-workload kilocycles/sec, geomean, suite totals, and the
-serial-vs-parallel/lane comparisons — for before/after comparisons:
+serial-vs-parallel comparison — for before/after comparisons:
 check out the baseline tree, run with ``--out baseline.json``, and
 diff the ``summary`` blocks.
 """
@@ -47,7 +39,6 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent
 
 from repro.harness import run_config, shutdown_pools       # noqa: E402
 from repro.pipeline import base_config, simulate           # noqa: E402
-from repro.pipeline.lanes import LaneBatch, LaneCell       # noqa: E402
 from repro.workloads import (build_suite, build_trace,     # noqa: E402
                              kernel_names)
 
@@ -125,150 +116,6 @@ def _parallel_pass(traces, scheduler, commit, jobs, chunk,
     }
 
 
-def _lane_pass(traces, scheduler, commit, lanes, serial_stats,
-               serial_wall):
-    """In-process lane-batched sweep over the same cells.
-
-    Measures the lane-stacked engine (``repro.pipeline.lanes``): up to
-    ``lanes`` compatible cells stepped in lockstep over one
-    struct-of-arrays stack, single process (workers=1) so the number
-    isolates the lane engine from worker parallelism.  Per-cell stats
-    are checked field-identical against the serial pass — the identity
-    contract matters more than the wall number and is always enforced.
-    """
-    config = base_config(scheduler=scheduler, commit=commit)
-    start = time.perf_counter()
-    result = run_config("bench-lanes", config, traces, workers=1,
-                        use_cache=False, lanes=lanes)
-    wall = time.perf_counter() - start
-    identical = all(result.stats.get(name) == serial_stats[name]
-                    for name in traces)
-    total_cycles = sum(stats.cycles for stats in result.stats.values())
-    speedup = serial_wall / wall if wall > 0 else 0.0
-    return {
-        "lanes": lanes,
-        "wall_seconds": round(wall, 4),
-        "serial_wall_seconds": round(serial_wall, 4),
-        "speedup": round(speedup, 3),
-        "total_cycles": total_cycles,
-        "kcps": round(total_cycles / wall / 1e3, 1) if wall > 0 else 0.0,
-        # simulated cycles summed across lanes / wall: the rate one
-        # process delivers in serial-run-equivalents
-        "lane_serial_equiv_kcps": round(total_cycles / wall / 1e3, 1)
-        if wall > 0 else 0.0,
-        "mean_active_lanes": round(result.mean_lane_occupancy(), 3),
-        "batches": len(result.lane_batches),
-        "trace_cache_hits": result.trace_cache_hits(),
-        "identical": identical,
-        "target_5x_met": speedup >= 5.0,
-        "cpus": os.cpu_count() or 1,
-    }
-
-
-def _saturated_pass(traces, scheduler, commit, lanes, serial,
-                    serial_stats):
-    """Full-occupancy lane throughput: L copies of each kernel.
-
-    The heterogeneous sweep above under-fills the batch whenever fewer
-    than L cells are live (its mean occupancy is the honest end-to-end
-    number), so it conflates engine speed with suite shape.  This pass
-    keeps all L lanes busy on one kernel at a time and compares the
-    batch wall against L serial runs of that kernel (min-of-reps
-    seconds from the serial pass).  Per-kernel stats are checked
-    field-identical against serial; the speedup geomean across kernels
-    is the number ``--lane-gate`` enforces.
-    """
-    config = base_config(scheduler=scheduler, commit=commit)
-    per_kernel = {}
-    identical = True
-    total_cycles = 0
-    total_wall = 0.0
-    for kernel, trace in traces.items():
-        cells = [LaneCell(i, trace, config) for i in range(lanes)]
-        batch = LaneBatch(lanes, config.iq_size, config.rob_size)
-        start = time.perf_counter()
-        outcome = batch.run(cells)
-        wall = time.perf_counter() - start
-        reference = serial_stats[kernel]
-        cycles = 0
-        for out in outcome.outcomes:
-            if out.stats is None or out.stats != reference:
-                identical = False
-            else:
-                cycles += out.stats.cycles
-        serial_equiv = lanes * serial[kernel]["seconds"]
-        speedup = serial_equiv / wall if wall > 0 else 0.0
-        per_kernel[kernel] = {
-            "wall_seconds": round(wall, 4),
-            "serial_equiv_seconds": round(serial_equiv, 4),
-            "speedup": round(speedup, 3),
-            "lane_serial_equiv_kcps": round(cycles / wall / 1e3, 1)
-            if wall > 0 else 0.0,
-            "mean_active_lanes": round(outcome.mean_active(), 3),
-        }
-        total_cycles += cycles
-        total_wall += wall
-    ratios = [row["speedup"] for row in per_kernel.values()]
-    geomean = math.exp(sum(math.log(r) for r in ratios) / len(ratios)) \
-        if ratios and all(r > 0 for r in ratios) else 0.0
-    return {
-        "lanes": lanes,
-        "identical": identical,
-        "wall_seconds": round(total_wall, 4),
-        "lane_serial_equiv_kcps": round(total_cycles / total_wall / 1e3,
-                                        1) if total_wall > 0 else 0.0,
-        "lanes_vs_serial_geomean": round(geomean, 3),
-        "per_kernel": per_kernel,
-    }
-
-
-def _apply_lane_gate(report, gate):
-    """Enforce ``--lane-gate``; returns the process exit code.
-
-    Identity divergence — in the heterogeneous sweep or the saturated
-    pass — is always fatal (exit 2).  The throughput check gates the
-    *saturated* lanes-vs-serial geomean (``speedup >= R``): the
-    heterogeneous sweep's wall ratio depends on suite shape (a
-    straggler kernel drains the batch to one live lane), so gating it
-    would measure the workload mix, not the engine.  On single-CPU
-    hosts the check is skipped — and recorded as skipped, with the
-    measured geomean — because scheduler noise under CI load makes
-    wall ratios there too unstable to fail a build on.
-    """
-    lane = report["lane"]
-    saturated = lane.get("saturated")
-    if not lane["identical"] or (saturated is not None
-                                 and not saturated["identical"]):
-        report["lane_gate"] = {"min_speedup": gate, "passed": False,
-                               "reason": "lane stats diverged from serial"}
-        print("GATE FAIL: lane-batched stats are not field-identical "
-              "to serial", file=sys.stderr)
-        return 2
-    measured = saturated["lanes_vs_serial_geomean"] if saturated \
-        else lane["speedup"]
-    if lane["cpus"] <= 1:
-        report["lane_gate"] = {
-            "min_speedup": gate, "skipped": True,
-            "measured": measured,
-            "reason": f"single-CPU host (cpus={lane['cpus']}); "
-                      f"throughput ratio too noisy to enforce"}
-        print(f"lane gate skipped: single-CPU host (saturated geomean "
-              f"{measured:.2f}x recorded, not enforced)")
-        return 0
-    passed = measured >= gate
-    report["lane_gate"] = {"min_speedup": gate,
-                           "measured": round(measured, 3),
-                           "passed": passed}
-    if not passed:
-        print(f"GATE FAIL: saturated lanes-vs-serial geomean "
-              f"{measured:.2f}x is below the {gate:g}x floor",
-              file=sys.stderr)
-        return 1
-    print(f"lane gate ok: saturated lanes-vs-serial geomean "
-          f"{measured:.2f}x >= {gate:g}x")
-    return 0
-
-
 def _apply_gate(report, gate):
     """Enforce ``--gate``; returns the process exit code.
 
@@ -331,17 +178,6 @@ def main(argv=None) -> int:
                         help="fail if parallel wall > R x serial wall "
                              "(requires --jobs; skipped on 1-CPU hosts); "
                              "stat divergence always fails")
-    parser.add_argument("--lanes", type=int, default=0, metavar="L",
-                        help="also measure the lane-batched engine: the "
-                             "same cells in lockstep batches of L over "
-                             "struct-of-arrays state (workers=1, so the "
-                             "number isolates the lane engine)")
-    parser.add_argument("--lane-gate", type=float, default=None,
-                        metavar="R",
-                        help="fail if the saturated lanes-vs-serial "
-                             "speedup geomean < R (requires --lanes; "
-                             "throughput check skipped on 1-CPU hosts); "
-                             "identity divergence always fails")
     parser.add_argument("--out", default=str(OUT_PATH),
                         help="output JSON path")
     args = parser.parse_args(argv)
@@ -360,7 +196,7 @@ def main(argv=None) -> int:
     geomean = math.exp(sum(math.log(row["kcps"])
                            for row in serial.values()) / len(serial))
     report = {
-        "schema": "bench-speed/4",
+        "schema": "bench-speed/5",
         "scale": scale,
         "reps": max(1, args.reps),
         "scheduler": args.scheduler,
@@ -379,20 +215,10 @@ def main(argv=None) -> int:
         report["parallel"] = _parallel_pass(
             traces, args.scheduler, args.commit, args.jobs, args.chunk,
             serial_stats, serial_wall)
-    if args.lanes > 1:
-        report["lane"] = _lane_pass(
-            traces, args.scheduler, args.commit, args.lanes,
-            serial_stats, serial_wall)
-        report["lane"]["saturated"] = _saturated_pass(
-            traces, args.scheduler, args.commit, args.lanes,
-            serial, serial_stats)
 
     exit_code = 0
     if args.gate is not None and "parallel" in report:
         exit_code = _apply_gate(report, args.gate)
-    if args.lane_gate is not None and "lane" in report:
-        exit_code = max(exit_code,
-                        _apply_lane_gate(report, args.lane_gate))
 
     out_path = pathlib.Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -416,27 +242,6 @@ def main(argv=None) -> int:
               f"({par['speedup']:.2f}x, {par['kcps']:.1f} kcps, "
               f"{par['trace_cache_hits']} trace-LRU hits, "
               f"stats {'identical' if par['identical'] else 'DIVERGED'})")
-    if "lane" in report:
-        lane = report["lane"]
-        print(f"  lanes x{lane['lanes']}: {lane['wall_seconds']:.3f}s "
-              f"wall vs {lane['serial_wall_seconds']:.3f}s serial "
-              f"({lane['speedup']:.2f}x, {lane['kcps']:.1f} kcps, mean "
-              f"{lane['mean_active_lanes']:.2f} active lanes over "
-              f"{lane['batches']} batches, stats "
-              f"{'identical' if lane['identical'] else 'DIVERGED'})")
-        sat = lane.get("saturated")
-        if sat is not None:
-            for kernel, row in sat["per_kernel"].items():
-                print(f"  {kernel:<{width}}  saturated x{sat['lanes']}: "
-                      f"{row['wall_seconds']:>8.3f}s  "
-                      f"{row['speedup']:>5.2f}x  "
-                      f"{row['lane_serial_equiv_kcps']:>8.1f} "
-                      f"serial-equiv kcps")
-            print(f"  saturated x{sat['lanes']}: lanes-vs-serial geomean "
-                  f"{sat['lanes_vs_serial_geomean']:.2f}x "
-                  f"({sat['lane_serial_equiv_kcps']:.1f} serial-equiv "
-                  f"kcps, stats "
-                  f"{'identical' if sat['identical'] else 'DIVERGED'})")
     print(f"wrote {out_path}")
     return exit_code
 

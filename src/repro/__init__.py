@@ -8,6 +8,8 @@ Public API tour:
   :class:`~repro.core.MergedCommitMatrix` (age + SPEC vector),
   :class:`~repro.core.MemoryDisambiguationMatrix`,
   :class:`~repro.core.LockdownMatrix`, :class:`~repro.core.WakeupMatrix`.
+  They are the hardware reference model and the ``REPRO_CHECK=1``
+  shadow of the timing model, which schedules from equivalent keys.
 * :mod:`repro.pipeline` — the cycle-level OoO core:
   :func:`~repro.pipeline.simulate`, :func:`~repro.pipeline.base_config`
   (plus ``pro``/``ultra`` presets from Table 1).

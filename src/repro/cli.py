@@ -27,9 +27,7 @@ default ``$REPRO_JOBS``), ``--no-cache`` (bypass the on-disk result
 cache under ``benchmarks/.cache/``), ``--timeout S`` (per-cell limit
 on the worker path, default ``$REPRO_CELL_TIMEOUT``), ``--chunk K``
 (cells per worker dispatch batch, default ``$REPRO_CHUNK`` or
-auto-tuned) and ``--lanes L`` (lane-batch width: up to L compatible
-cells simulated in lockstep per batch, default ``$REPRO_LANES`` or 1;
-``repro profile --events`` requires ``--lanes 1``).
+auto-tuned).
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ import sys
 from typing import List, Optional
 
 from .circuit import (format_scalability, format_table2, overhead_report)
-from .harness import (default_lanes, default_workers, fig14, fig15, fig16,
+from .harness import (default_workers, fig14, fig15, fig16,
                       format_characterization, hbar_chart, stall_breakdown,
                       table1, table2_measured)
 from .isa import convert_trace_file, save_trace, validate_trace_file
@@ -69,12 +67,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="cells per worker dispatch batch (default "
                              "$REPRO_CHUNK, else auto-tuned from per-cell "
                              "time estimates; 1 disables batching)")
-    parser.add_argument("--lanes", type=int, default=None, metavar="L",
-                        help="lane-batch width: simulate up to L "
-                             "compatible cells in lockstep over shared "
-                             "struct-of-arrays state (default "
-                             "$REPRO_LANES or 1 = off; results are "
-                             "field-identical to serial)")
     _add_trace_import(parser)
 
 
@@ -181,11 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--sort", default="tottime",
                          choices=("tottime", "cumulative", "ncalls"),
                          help="cProfile sort order")
-    profile.add_argument("--lanes", type=int, default=None, metavar="L",
-                         help="profile L copies of the kernel in one lane "
-                              "batch, splitting time into per-stage and "
-                              "vectorized-kernel buckets; --events needs "
-                              "1 (default $REPRO_LANES or 1)")
 
     replay = sub.add_parser(
         "replay", help="re-run a crash-diagnostic bundle and report "
@@ -209,8 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "and checkpoint across runs")
     verify.add_argument("--jobs", type=int, default=None, metavar="J",
                         help="worker processes (default $REPRO_JOBS or 1)")
-    verify.add_argument("--lanes", type=int, default=None, metavar="L",
-                        help="lane-batch width (default $REPRO_LANES or 1)")
     verify.add_argument("--timeout", type=float, default=None,
                         metavar="SEC",
                         help="per-program wall cap under --jobs")
@@ -307,8 +292,7 @@ def _exec_opts(args) -> dict:
     library default which requires ``$REPRO_CACHE=1``.
     """
     return {"workers": args.jobs, "use_cache": not args.no_cache,
-            "timeout": args.timeout, "chunk": args.chunk,
-            "lanes": args.lanes}
+            "timeout": args.timeout, "chunk": args.chunk}
 
 
 def _cmd_bench(args) -> str:
@@ -320,11 +304,9 @@ def _cmd_bench(args) -> str:
                                   **_exec_opts(args))
     wall = time.perf_counter() - start
     workers = args.jobs if args.jobs is not None else default_workers()
-    lanes = args.lanes if args.lanes is not None else default_lanes()
     sim = result.sim_seconds()
     lines = [result.format(), "",
              f"executor: {result.cells()} cells, workers={workers}, "
-             f"lanes={lanes}, "
              f"cache {'off' if args.no_cache else 'on'} "
              f"({result.cache_hits()} hits)",
              f"trace LRU: {result.trace_cache_hits()} hits, "
@@ -332,12 +314,6 @@ def _cmd_bench(args) -> str:
              f"wall-clock {wall:.2f}s; per-cell simulation time "
              f"{sim:.2f}s" + (f" ({sim / wall:.2f}x overlap)"
                               if wall > 0 else "")]
-    occupancy = result.mean_lane_occupancy()
-    if occupancy:
-        batches = {bid for r in result.results.values()
-                   for bid in r.lane_batches}
-        lines.append(f"lane batches: {len(batches)}, mean "
-                     f"{occupancy:.2f} active lanes/iteration")
     return "\n".join(lines)
 
 
@@ -431,25 +407,6 @@ def _dispatch(args) -> int:
     elif command == "bench":
         print(_cmd_bench(args))
     elif command == "profile":
-        lanes = args.lanes if args.lanes is not None else default_lanes()
-        if lanes != 1:
-            # lane batches get their own attribution: scalar stage
-            # buckets summed over lanes plus the cross-lane fused
-            # kernel buckets.  Event subscribers attach to a single
-            # core's bus, so --events still needs --lanes 1.
-            if args.events:
-                print("error: --events requires --lanes 1 (event "
-                      "subscribers instrument a single core's bus)",
-                      file=sys.stderr)
-                return 2
-            from .profiling import profile_lanes
-            report = profile_lanes(
-                args.kernel, scale=args.scale, preset=args.preset,
-                scheduler=args.scheduler, commit=args.commit,
-                lanes=lanes, cprofile_top=args.cprofile,
-                cprofile_sort=args.sort)
-            print(report.format())
-            return 0
         from .profiling import profile_run
         report = profile_run(
             args.kernel, scale=args.scale, preset=args.preset,
@@ -482,9 +439,8 @@ def _dispatch(args) -> int:
             seed = int(os.environ.get("REPRO_VERIFY_SEED", "0"))
         count = 500 if args.quick else args.programs
         jobs = args.jobs if args.jobs is not None else default_workers()
-        lanes = args.lanes if args.lanes is not None else default_lanes()
         result = run_campaign(
-            seed=seed, count=count, jobs=jobs, lanes=lanes,
+            seed=seed, count=count, jobs=jobs,
             timeout=args.timeout, checkpoint=args.checkpoint,
             fresh=args.fresh, minimise=not args.no_minimise)
         print(result.format())

@@ -26,9 +26,8 @@ semantics using the policy's attribute flags.
 from __future__ import annotations
 
 import abc
-from typing import List
-
-import numpy as np
+import heapq
+from operator import attrgetter
 
 from ..pipeline.events import EventType, MatrixEvent
 
@@ -72,45 +71,55 @@ class CommitPolicy(abc.ABC):
         return committed
 
 
+_seq_of = attrgetter("dyn.seq")
+_rob_entry_of = attrgetter("rob_entry")
+
+
 def _matrix_commit(core, cycle: int) -> int:
-    """Shared Orinoco-style commit: gather completed candidates, check
-    them against the merged age/SPEC matrix, grant up to CW oldest via
-    the bit count encoding, retire."""
+    """Shared Orinoco-style commit: gather the locally committable
+    candidates, keep those with no older speculative instruction (the
+    merged age/SPEC matrix check: ``seq <= SPEC frontier``), grant up to
+    CW oldest (the bit count encoding), retire in ROB-entry order."""
     if not core.commit_candidates:
         return 0
+    window = core.window
     depth = core.config.commit_depth
     horizon = None
-    if depth is not None and len(core.window) > depth:
+    if depth is not None and len(window) > depth:
         # limited commit depth: only the `depth` oldest window entries
         # are scanned (the contrast to Orinoco's unlimited window, §6.2)
-        for index, seq in enumerate(core.window):
+        for index, seq in enumerate(window):
             if index == depth - 1:
                 horizon = seq
                 break
-    eligible = core.rob_scratch
-    eligible[:] = False
-    candidates = {}
+    committable = core.locally_committable
+    candidates = []
     for seq in core.commit_candidates:
         if horizon is not None and seq > horizon:
             continue
-        op = core.window.get(seq)
-        if op is not None and core.locally_committable(op, ecl=False):
-            eligible[op.rob_entry] = True
-            candidates[op.rob_entry] = op
+        op = window.get(seq)
+        if op is not None and committable(op, False):
+            candidates.append(op)
     if not candidates:
         return 0
-    core.stats.rob_check_ops += 1
-    core.stats.rob_check_rows += len(candidates)
+    stats = core.stats
+    stats.rob_check_ops += 1
+    stats.rob_check_rows += len(candidates)
     bus = core.bus
     if bus.live[_MATRIX]:
         bus.publish(MatrixEvent(cycle, "rob", "check", len(candidates)))
-    grants = core.merged.select_commit(eligible, core.config.commit_width)
-    committed = 0
-    if np.count_nonzero(grants):
-        for entry in np.flatnonzero(grants):
-            core.retire(candidates[int(entry)], cycle)
-            committed += 1
-    return committed
+    frontier = core.state.spec_frontier()
+    eligible = [op for op in candidates if op.dyn.seq <= frontier]
+    if not eligible:
+        return 0
+    width = core.config.commit_width
+    if len(eligible) > width:
+        eligible = heapq.nsmallest(width, eligible, key=_seq_of)
+    eligible.sort(key=_rob_entry_of)
+    retire = core.retire
+    for op in eligible:
+        retire(op, cycle)
+    return len(eligible)
 
 
 class InOrderCommit(CommitPolicy):

@@ -96,26 +96,15 @@ class MergedCommitMatrix:
     compares (see :mod:`repro.core.check`).
     """
 
-    def __init__(self, size: int, storage=None):
+    def __init__(self, size: int):
         self.size = size
-        if storage is None:
-            self.age = AgeMatrix(size)
-            #: SPEC — entries that may still raise misspeculation.
-            self.spec = np.zeros(size, dtype=bool)
-            #: per-entry count of older speculative entries (valid rows)
-            self._blockers = np.zeros(size, dtype=np.intp)
-            #: cached safe-and-valid vector, re-derived when dirty
-            self._safe = np.zeros(size, dtype=bool)
-        else:
-            # lane-stacked backing (repro.core.lanestack.MergedPlanes):
-            # adopt the views and re-zero the state for slot reuse
-            self.age = AgeMatrix(size, storage=storage.age)
-            self.spec = storage.spec
-            self.spec[...] = False
-            self._blockers = storage.blockers
-            self._blockers[...] = 0
-            self._safe = storage.safe
-            self._safe[...] = False
+        self.age = AgeMatrix(size)
+        #: SPEC — entries that may still raise misspeculation.
+        self.spec = np.zeros(size, dtype=bool)
+        #: per-entry count of older speculative entries (valid rows)
+        self._blockers = np.zeros(size, dtype=np.intp)
+        #: cached safe-and-valid vector, re-derived when dirty
+        self._safe = np.zeros(size, dtype=bool)
         self._n_spec = 0
         self._dirty = True
         self._eligible = np.empty(size, dtype=bool)

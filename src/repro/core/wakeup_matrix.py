@@ -37,25 +37,14 @@ from .bitmatrix import BitMatrix
 class WakeupMatrix:
     """Positional dependence tracker over IQ entries."""
 
-    def __init__(self, size: int, storage=None):
+    def __init__(self, size: int):
         self.size = size
-        if storage is None:
-            self.matrix = BitMatrix(size, size)
-            self.valid = np.zeros(size, dtype=bool)
-            #: per-entry count of set row bits (valid entries only)
-            self._pending = np.zeros(size, dtype=np.intp)
-            #: cached grant vector, re-derived when dirty
-            self._ready = np.zeros(size, dtype=bool)
-        else:
-            # lane-stacked backing (repro.core.lanestack.WakeupPlanes):
-            # adopt the views and re-zero the state for slot reuse
-            self.matrix = BitMatrix(size, size, storage=storage.bit)
-            self.valid = storage.valid
-            self.valid[...] = False
-            self._pending = storage.pending
-            self._pending[...] = 0
-            self._ready = storage.ready
-            self._ready[...] = False
+        self.matrix = BitMatrix(size, size)
+        self.valid = np.zeros(size, dtype=bool)
+        #: per-entry count of set row bits (valid entries only)
+        self._pending = np.zeros(size, dtype=np.intp)
+        #: cached grant vector, re-derived when dirty
+        self._ready = np.zeros(size, dtype=bool)
         self._dirty = True
         self._mask = np.zeros(size, dtype=bool)
         self._ones = np.ones(size, dtype=bool)

@@ -9,7 +9,7 @@ from .diagnostics import (ReplayReport, build_crash_bundle,
                           load_bundle, replay_bundle, write_bundle)
 from .experiments import (ExperimentResult, FIG15_CONFIGS, fig14, fig15,
                           fig16, stall_breakdown, table1)
-from .parallel import (Job, default_lanes, default_use_cache,
+from .parallel import (Job, default_use_cache,
                        default_workers, estimate_cell_seconds, jobs_for,
                        run_suite, shutdown_pools)
 from .plots import grouped_bars, hbar_chart, sparkline
@@ -31,7 +31,7 @@ __all__ = ["KernelProfile", "characterize", "format_characterization",
            "geomean_speedup", "run_config", "run_config_with_criticality",
            "run_criticality_suite", "resolve_execution", "speedups",
            "ResultCache", "cache_key", "config_fingerprint",
-           "Job", "default_lanes", "default_use_cache", "default_workers",
+           "Job", "default_use_cache", "default_workers",
            "estimate_cell_seconds", "jobs_for", "run_suite",
            "shutdown_pools",
            "CellFailure", "CellStatus", "SuiteInterrupted",

@@ -35,14 +35,13 @@ def characterize(scale: float = 1.0,
                  workers: Optional[int] = None,
                  use_cache: Optional[bool] = None,
                  timeout: Optional[float] = None,
-                 chunk: Optional[int] = None,
-                 lanes: Optional[int] = None) -> List[KernelProfile]:
+                 chunk: Optional[int] = None) -> List[KernelProfile]:
     """Run each kernel under the baseline core and profile it."""
     traces = build_suite(scale, names)
     config = make_config(preset)
     result = run_config("characterize", config, traces,
                         workers=workers, use_cache=use_cache,
-                        timeout=timeout, chunk=chunk, lanes=lanes)
+                        timeout=timeout, chunk=chunk)
     profiles = []
     for name, trace in traces.items():
         mix = trace.class_mix()

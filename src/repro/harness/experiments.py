@@ -70,20 +70,6 @@ class ExperimentResult:
         """Cells whose trace had to be (re)generated."""
         return sum(r.trace_cache_misses() for r in self.results.values())
 
-    def mean_lane_occupancy(self) -> float:
-        """Mean active lanes per lockstep iteration, whole figure.
-
-        A lane batch can span labels; batches are deduplicated by id
-        across the per-label results before averaging.  0.0 when the
-        figure ran entirely on the per-cell paths.
-        """
-        batches: Dict[int, tuple] = {}
-        for result in self.results.values():
-            batches.update(result.lane_batches)
-        steps = sum(s for s, _ in batches.values())
-        lane_steps = sum(ls for _, ls in batches.values())
-        return lane_steps / steps if steps else 0.0
-
 
 def _missing_notes(results: Dict[str, SuiteResult]) -> List[str]:
     """One annotation per failed/timed-out/missing cell."""
@@ -119,8 +105,7 @@ def fig14(scale: float = 1.0, names: Optional[List[str]] = None,
           workers: Optional[int] = None,
           use_cache: Optional[bool] = None,
           timeout: Optional[float] = None,
-          chunk: Optional[int] = None,
-          lanes: Optional[int] = None) -> ExperimentResult:
+          chunk: Optional[int] = None) -> ExperimentResult:
     """Figure 14: IPC improvements of priority scheduling.
 
     Baseline AGE; comparisons MULT, Orinoco, CRI w/ AGE, CRI w/ Orinoco
@@ -143,8 +128,7 @@ def fig14(scale: float = 1.0, names: Optional[List[str]] = None,
     jobs += jobs_for("CRI w/ Orinoco", base.with_policies(scheduler="cri"),
                      traces, profile_config)
     results = run_suite(jobs, workers=workers, cache=cache,
-                        progress=progress, timeout=timeout, chunk=chunk,
-                        lanes=lanes)
+                        progress=progress, timeout=timeout, chunk=chunk)
     return _collect(results, "AGE", "Figure 14",
                     "IPC improvement of priority scheduling over AGE")
 
@@ -168,8 +152,7 @@ def fig15(scale: float = 1.0, names: Optional[List[str]] = None,
           workers: Optional[int] = None,
           use_cache: Optional[bool] = None,
           timeout: Optional[float] = None,
-          chunk: Optional[int] = None,
-          lanes: Optional[int] = None) -> ExperimentResult:
+          chunk: Optional[int] = None) -> ExperimentResult:
     """Figure 15: IPC improvements of out-of-order commit over IOC
     (all with the AGE scheduler, as in the paper's baseline)."""
     traces = build_suite(scale, names)
@@ -179,8 +162,7 @@ def fig15(scale: float = 1.0, names: Optional[List[str]] = None,
     for label, commit in FIG15_CONFIGS.items():
         jobs += jobs_for(label, base.with_policies(commit=commit), traces)
     results = run_suite(jobs, workers=workers, cache=cache,
-                        progress=progress, timeout=timeout, chunk=chunk,
-                        lanes=lanes)
+                        progress=progress, timeout=timeout, chunk=chunk)
     return _collect(results, "IOC", "Figure 15",
                     "IPC improvement of out-of-order commit over IOC")
 
@@ -189,8 +171,7 @@ def fig16(scale: float = 1.0, names: Optional[List[str]] = None,
           progress: bool = False, workers: Optional[int] = None,
           use_cache: Optional[bool] = None,
           timeout: Optional[float] = None,
-          chunk: Optional[int] = None,
-          lanes: Optional[int] = None) -> ExperimentResult:
+          chunk: Optional[int] = None) -> ExperimentResult:
     """Figure 16: sensitivity to core size (Base / Pro / Ultra).
 
     For each size, speedups of priority scheduling (Orinoco issue),
@@ -212,8 +193,7 @@ def fig16(scale: float = 1.0, names: Optional[List[str]] = None,
             jobs += jobs_for(f"{preset}: {kind}",
                              base.with_policies(**policies), traces)
     results = run_suite(jobs, workers=workers, cache=cache,
-                        progress=progress, timeout=timeout, chunk=chunk,
-                        lanes=lanes)
+                        progress=progress, timeout=timeout, chunk=chunk)
     experiment = ExperimentResult(
         "Figure 16", "normalized performance sensitivity",
         baseline_label="AGE+IOC", results=results)
@@ -241,8 +221,7 @@ def stall_breakdown(scale: float = 1.0,
                     workers: Optional[int] = None,
                     use_cache: Optional[bool] = None,
                     timeout: Optional[float] = None,
-                    chunk: Optional[int] = None,
-                    lanes: Optional[int] = None
+                    chunk: Optional[int] = None
                     ) -> Dict[str, Dict[str, float]]:
     """§2.2 / §6.2 statistics.
 
@@ -260,8 +239,7 @@ def stall_breakdown(scale: float = 1.0,
             + jobs_for("Orinoco", base.with_policies(commit="orinoco"),
                        traces))
     results = run_suite(jobs, workers=workers, cache=cache,
-                        progress=progress, timeout=timeout, chunk=chunk,
-                        lanes=lanes)
+                        progress=progress, timeout=timeout, chunk=chunk)
     out: Dict[str, Dict[str, float]] = {}
     for label in ("IOC", "Orinoco"):
         result = results[label]

@@ -53,14 +53,13 @@ from __future__ import annotations
 import os
 import time
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core import check
 from ..criticality import CriticalityTagger, clear_tags
-from ..envutil import env_flag, env_int
+from ..envutil import env_flag
+from ..isa import Trace
 from ..pipeline import CoreConfig, O3Core, SimStats
-from ..pipeline.lanes import LaneBatch, LaneCell, crosscheck, lane_key
 from ..testing import faults
 from ..workloads import ensure_target, fetch_trace, get_target, has_target
 from .cache import ResultCache, cache_key
@@ -70,7 +69,7 @@ from .resilience import (CellFailure, CellStatus, SuiteInterrupted,
                          default_chunk_size, default_max_retries,
                          get_pool, next_task_id, shutdown_pools)
 
-__all__ = ["Job", "ProfileData", "default_lanes", "default_use_cache",
+__all__ = ["Job", "ProfileData", "default_use_cache",
            "default_workers", "estimate_cell_seconds", "jobs_for",
            "run_suite", "shutdown_pools"]
 
@@ -89,6 +88,11 @@ class Job:
     #: when set, this is a criticality run: profile under this config,
     #: tag the critical slices, then simulate under ``config``
     profile_config: Optional[CoreConfig] = None
+    #: the caller's already-built trace of (workload, scale); the
+    #: in-process path simulates it instead of fetching it again
+    #: (workers always rebuild from the registry)
+    trace: Optional[Trace] = field(default=None, repr=False,
+                                   compare=False)
 
     @property
     def cell_id(self) -> str:
@@ -107,11 +111,6 @@ def default_use_cache() -> bool:
     """Cache policy from ``$REPRO_CACHE`` (off unless set truthy —
     ``false``/``off``/``no``/``0``/unset all disable)."""
     return env_flag("REPRO_CACHE", default=False)
-
-
-def default_lanes() -> int:
-    """Lane-batch width from ``$REPRO_LANES`` (default 1 = off)."""
-    return max(1, env_int("REPRO_LANES", 1))
 
 
 #: crude generation-parameter-to-seconds calibration for chunk sizing:
@@ -151,7 +150,7 @@ def jobs_for(label: str, config: CoreConfig, traces: Dict[str, object],
                 f"target registry (register it with "
                 f"repro.workloads.register_target / add_trace_target); "
                 f"use the serial runner for ad-hoc traces")
-        jobs.append(Job(label, config, name, scale, profile_config))
+        jobs.append(Job(label, config, name, scale, profile_config, trace))
     return jobs
 
 
@@ -185,18 +184,24 @@ def _simulate_profile(task) -> Tuple[Dict[int, int], Dict[int, int], float]:
             time.perf_counter() - start)
 
 
-def _simulate_cell(task, subscribers: Sequence = ()
+def _simulate_cell(task, subscribers: Sequence = (),
+                   trace: Optional[Trace] = None
                    ) -> Tuple[SimStats, float, bool]:
     """Stage 2: simulate one cell (tagging first for criticality runs).
 
     Tagging happens *inside* the try so a crash mid-``tag`` (partial
     tags) still clears the shared in-process trace on the way out.
     ``subscribers`` are attached to the core's event bus before the
-    run (fault injection; empty on the reference path).  Returns
-    ``(stats, seconds, trace_was_cache_hit)``.
+    run (fault injection; empty on the reference path).  ``trace`` is
+    the caller's already-built trace, if any; otherwise it comes
+    through the trace LRU.  Returns ``(stats, seconds,
+    trace_was_not_rebuilt)``.
     """
     config, workload, scale, profile = task
-    trace, trace_hit = fetch_trace(workload, scale)
+    if trace is None:
+        trace, trace_hit = fetch_trace(workload, scale)
+    else:
+        trace_hit = True
     start = time.perf_counter()
     if profile is None:
         core = O3Core(trace, config)
@@ -260,66 +265,6 @@ def _guarded_cell(payload, attempt: int):
                          "traceback": tb, "bundle": bundle}
 
 
-def _guarded_lane_group(payload, attempt: int):
-    """Dispatcher wrapper for a lane-batched group of cells.
-
-    One task = one :class:`~repro.pipeline.lanes.LaneBatch` run over
-    lane-compatible cells.  Streams nothing mid-batch (the pool
-    protocol is one result per task), so the whole group's per-cell
-    outcomes come back in one value: ``{"cells": [...], "steps": n,
-    "lane_steps": n}`` with one entry per payload cell, in order.
-    Per-cell failures (deadlock in one lane) are embedded entries —
-    batch-mates keep their results.
-    """
-    cells_data, lanes, timeout = payload
-    try:
-        key = lane_key(cells_data[0][1])
-        cells, hits = [], []
-        for pos, (label, config, workload, scale,
-                  workload_spec) in enumerate(cells_data):
-            ensure_target(workload_spec)
-            trace, hit = fetch_trace(workload, scale)
-            cells.append(LaneCell(pos, trace, config))
-            hits.append(hit)
-        batch = LaneBatch(min(lanes, len(cells)), key[0], key[1])
-        report = batch.run(cells, timeout=timeout)
-        if check.check_enabled():
-            sample = next((o for o in report.outcomes
-                           if o.stats is not None), None)
-            if sample is not None:
-                crosscheck(cells[sample.index], sample.stats)
-        out = [None] * len(cells)
-        for outcome in report.outcomes:
-            pos = outcome.index
-            label, config, workload, scale, _spec = cells_data[pos]
-            if outcome.stats is not None:
-                out[pos] = {"status": "ok", "stats": outcome.stats,
-                            "elapsed": outcome.elapsed,
-                            "trace_hit": hits[pos]}
-            elif outcome.timed_out:
-                out[pos] = {"status": "timeout",
-                            "elapsed": outcome.elapsed}
-            else:
-                exc = outcome.error
-                bundle = build_crash_bundle(
-                    label=label, config=config, workload=workload,
-                    scale=scale, exc=exc, tb=outcome.error_tb,
-                    attempt=attempt)
-                out[pos] = {"status": "error",
-                            "message": f"{type(exc).__name__}: {exc}",
-                            "traceback": outcome.error_tb,
-                            "bundle": bundle}
-        return "ok", {"cells": out, "steps": report.steps,
-                      "lane_steps": report.lane_steps}
-    except Exception as exc:
-        # batch-level failure (trace build, stack allocation, a
-        # REPRO_CHECK divergence): fails the whole group loudly
-        tb = traceback.format_exc()
-        return "error", {"kind": "exception",
-                         "message": f"{type(exc).__name__}: {exc}",
-                         "traceback": tb}
-
-
 # -- the executor ----------------------------------------------------------
 
 @dataclass
@@ -332,88 +277,9 @@ class _CellRecord:
     failure: Optional[CellFailure] = None
     #: seconds spent waiting for a worker (enqueue → actual dispatch)
     queued: float = 0.0
-    #: did the cell's trace come from the in-process/in-worker LRU?
+    #: was the cell's trace reused (the job's own trace, or the
+    #: in-process/in-worker LRU) rather than rebuilt?
     trace_hit: bool = False
-    #: (batch id, driver steps, lane steps) of the lane batch this
-    #: cell ran in, if it was lane-batched
-    batch: Optional[Tuple[int, int, int]] = None
-
-
-def _lane_groups(jobs: Sequence[Job], indices: Sequence[int]
-                 ) -> List[List[int]]:
-    """Partition lane-eligible job indices into compatible groups.
-
-    Cells sharing a :func:`~repro.pipeline.lanes.lane_key` (matrix
-    shapes, queue organisation, ROB release policy) may share a lane
-    stack; within a group, cells are ordered by (workload, scale) so
-    batch-mates share traces from the LRU.  Outcomes are keyed by job
-    index, so grouping never affects what a cell computes.
-    """
-    groups: Dict[tuple, List[int]] = {}
-    for index in indices:
-        groups.setdefault(lane_key(jobs[index].config), []).append(index)
-    for members in groups.values():
-        members.sort(key=lambda i: (jobs[i].workload, jobs[i].scale,
-                                    jobs[i].label))
-    return list(groups.values())
-
-
-def _run_lane_batches(jobs: Sequence[Job], indices: Sequence[int],
-                      lanes: int, records: Dict[int, "_CellRecord"],
-                      flush_cell, timeout: Optional[float]) -> None:
-    """In-process lane path: run eligible cells through LaneBatch.
-
-    Mirrors the worker-path semantics (failures become annotated
-    holes, completed cells flush to the cache as their lanes retire)
-    rather than the serial path's propagate-exceptions contract: lane
-    isolation — one deadlocking cell must not sink its batch-mates —
-    is the point of the batch.
-    """
-    do_check = check.check_enabled()
-    for members in _lane_groups(jobs, indices):
-        cells, hits = [], {}
-        for index in members:
-            job = jobs[index]
-            trace, hit = fetch_trace(job.workload, job.scale)
-            cells.append(LaneCell(index, trace, job.config))
-            hits[index] = hit
-        key = lane_key(jobs[members[0]].config)
-        batch = LaneBatch(min(lanes, len(cells)), key[0], key[1])
-        batch_id = next_task_id()
-
-        def cell_done(outcome, hits=hits):
-            index = outcome.index
-            if outcome.stats is not None:
-                records[index] = _CellRecord(
-                    CellStatus.OK, outcome.stats, outcome.elapsed,
-                    trace_hit=hits[index])
-                flush_cell(index, outcome.stats)
-            elif outcome.timed_out:
-                records[index] = _CellRecord(
-                    CellStatus.TIMEOUT,
-                    failure=CellFailure(
-                        kind="timeout",
-                        message=f"lane cell exceeded {timeout}s "
-                                f"attributed simulation time"))
-            else:
-                records[index] = _CellRecord(
-                    CellStatus.FAILED,
-                    failure=CellFailure(
-                        kind="exception",
-                        message=(f"{type(outcome.error).__name__}: "
-                                 f"{outcome.error}"),
-                        traceback=outcome.error_tb))
-
-        report = batch.run(cells, on_cell=cell_done, timeout=timeout)
-        for outcome in report.outcomes:
-            records[outcome.index].batch = (batch_id, report.steps,
-                                            report.lane_steps)
-        if do_check:
-            sample = next((o for o in report.outcomes
-                           if o.stats is not None), None)
-            if sample is not None:
-                cell = next(c for c in cells if c.index == sample.index)
-                crosscheck(cell, sample.stats)
 
 
 def _finalize_failure(failure: Optional[CellFailure]
@@ -433,8 +299,7 @@ def run_suite(jobs: Sequence[Job], workers: Optional[int] = None,
               progress: bool = False,
               timeout: Optional[float] = None,
               retries: Optional[int] = None,
-              chunk: Optional[int] = None,
-              lanes: Optional[int] = None) -> Dict[str, "SuiteResult"]:
+              chunk: Optional[int] = None) -> Dict[str, "SuiteResult"]:
     """Execute every job; return ``{label: SuiteResult}`` in job order.
 
     ``workers=None`` reads ``$REPRO_JOBS``; ``workers<=1`` runs
@@ -447,22 +312,13 @@ def run_suite(jobs: Sequence[Job], workers: Optional[int] = None,
     bounds each cell on the worker path; ``retries`` (``None`` reads
     ``$REPRO_RETRIES``) bounds crash retries.  ``chunk`` (``None``
     reads ``$REPRO_CHUNK``, 0/unset → auto-size from per-cell timing
-    estimates) sets how many cells share one dispatch round-trip; the
-    dispatch order additionally groups cells by (workload, scale) so
-    chunk-mates hit the worker-side trace LRU.  Failed cells come
-    back as annotated holes in the :class:`SuiteResult`, never as
+    estimates) sets how many cells share one dispatch round-trip.
+    Both paths run cells grouped by (workload, scale) — in-process so
+    consecutive cells hit the bounded trace LRU, on workers so
+    chunk-mates do — and assemble results in job order; in-process, a
+    job's own ``trace`` is simulated without a lookup.  Failed cells
+    come back as annotated holes in the :class:`SuiteResult`, never as
     raised exceptions.
-
-    ``lanes`` (``None`` reads ``$REPRO_LANES``; 1 = off) batches
-    lane-compatible cells through the lockstep engine
-    (:mod:`repro.pipeline.lanes`): groups sharing matrix shapes run
-    over one struct-of-arrays stack, composing with the worker pool
-    (each group is one dispatch task).  ``lanes=1`` is the untouched
-    reference; batched results are field-identical per cell.
-    Criticality cells (tagging mutates the shared trace) and
-    fault-injection runs always take the per-cell paths, and
-    lane-batched failures are annotated holes even in-process —
-    isolating a deadlocked lane from its batch-mates is the contract.
     """
     from .runner import SuiteResult          # local: avoid import cycle
     if workers is None:
@@ -473,8 +329,6 @@ def run_suite(jobs: Sequence[Job], workers: Optional[int] = None,
         retries = default_max_retries()
     if chunk is None:
         chunk = default_chunk_size()
-    if lanes is None:
-        lanes = default_lanes()
     # the fault programme is sampled here, in the parent, and travels
     # inside task payloads: persistent pools may predate the env var,
     # and a typo'd programme must fail the suite, not silently no-op
@@ -525,6 +379,9 @@ def run_suite(jobs: Sequence[Job], workers: Optional[int] = None,
         for key, (config, name, scale) in pending:
             print(f"    profile[{config.scheduler}/{config.commit}]: "
                   f"{name}", flush=True)
+    # affinity: same-(workload, scale) profiles run adjacently so they
+    # hit the trace LRU (in-process) or share a chunk (workers)
+    pending.sort(key=lambda kv: (kv[1][1], kv[1][2]))
     if pending and workers <= 1:
         for key, cell in pending:
             misses, mispredicts, _elapsed = _simulate_profile(cell)
@@ -533,9 +390,7 @@ def run_suite(jobs: Sequence[Job], workers: Optional[int] = None,
                 cache.put_profile(key, misses, mispredicts)
     elif pending:
         specs, key_of = [], {}
-        # affinity: same-workload profiles share a chunk → trace LRU hits
-        for key, (config, name, scale) in sorted(
-                pending, key=lambda kv: (kv[1][1], kv[1][2])):
+        for key, (config, name, scale) in pending:
             spec = TaskSpec(next_task_id(), f"profile/{name}",
                             _guarded_profile,
                             (f"profile/{name}", config, name, scale,
@@ -564,28 +419,26 @@ def run_suite(jobs: Sequence[Job], workers: Optional[int] = None,
             print(f"    {job.label}: {job.workload}{note}", flush=True)
     task_indices = [index for index in range(len(jobs))
                     if index not in records]
-    # lane eligibility: plain cells only — criticality runs mutate the
-    # shared trace (tagging) and fault programmes target the per-cell
-    # dispatcher hooks, so both keep the per-cell paths
-    lane_set = set()
-    if lanes > 1 and not fault_specs:
-        lane_set = {index for index in task_indices
-                    if jobs[index].profile_config is None}
+    # affinity: run same-(workload, scale) cells adjacently.  In-process
+    # that keeps the bounded trace LRU from thrashing on job order (a
+    # figure lists every workload once per configuration) when jobs
+    # carry no trace; on workers it lands them in the same chunk.
+    # Outcomes are keyed by job index and assembled in job order below,
+    # so run order never affects results.
+    ordered = sorted(task_indices,
+                     key=lambda i: (jobs[i].workload, jobs[i].scale,
+                                    jobs[i].label))
     if workers <= 1:
         # in-process reference path: exceptions propagate (seed
         # semantics); Ctrl-C still reports what finished
         try:
-            if lane_set:
-                _run_lane_batches(jobs, sorted(lane_set), lanes,
-                                  records, flush_cell, timeout)
-            for index in task_indices:
-                if index in lane_set:
-                    continue
+            for index in ordered:
                 job = jobs[index]
                 profile = profiles[profile_keys[index]] \
                     if index in profile_keys else None
                 stats, elapsed, trace_hit = _simulate_cell(
-                    (job.config, job.workload, job.scale, profile))
+                    (job.config, job.workload, job.scale, profile),
+                    trace=job.trace)
                 records[index] = _CellRecord(CellStatus.OK, stats, elapsed,
                                              trace_hit=trace_hit)
                 flush_cell(index, stats)
@@ -593,98 +446,7 @@ def run_suite(jobs: Sequence[Job], workers: Optional[int] = None,
             done = [jobs[i].cell_id for i in task_indices if i in records]
             raise SuiteInterrupted(done, len(task_indices)) from None
     else:
-        # lane-batched groups first: each compatible group becomes one
-        # dispatcher task (one LaneBatch run in one worker), sliced so
-        # groups stay a small multiple of the lane count — enough queue
-        # depth for retire-and-refill without starving other workers
-        group_specs, members_of = [], {}
-        if lane_set:
-            cap = max(lanes, min(2 * lanes, 32))
-            for members in _lane_groups(jobs, sorted(lane_set)):
-                for start in range(0, len(members), cap):
-                    part = members[start:start + cap]
-                    if len(part) < 2:
-                        # a lone cell gains nothing from the lane
-                        # driver; send it down the per-cell path
-                        lane_set.difference_update(part)
-                        continue
-                    spec = TaskSpec(
-                        next_task_id(),
-                        f"lanes[{len(part)}]/{jobs[part[0]].workload}",
-                        _guarded_lane_group,
-                        ([(jobs[i].label, jobs[i].config,
-                           jobs[i].workload, jobs[i].scale,
-                           _workload_spec(jobs[i].workload))
-                          for i in part], lanes, timeout),
-                        est_seconds=sum(
-                            estimate_cell_seconds(jobs[i].workload,
-                                                  jobs[i].scale)
-                            for i in part))
-                    group_specs.append(spec)
-                    members_of[spec.task_id] = part
-
-        def group_done(spec: TaskSpec, outcome: TaskOutcome) -> None:
-            part = members_of[spec.task_id]
-            if outcome.status is not CellStatus.OK:
-                # batch-level failure: every member inherits it
-                for index in part:
-                    records[index] = _CellRecord(
-                        outcome.status,
-                        failure=_finalize_failure(outcome.failure),
-                        queued=outcome.queued_s)
-                return
-            value = outcome.value
-            batch = (spec.task_id, value["steps"], value["lane_steps"])
-            for pos, index in enumerate(part):
-                cell = value["cells"][pos]
-                if cell is None:
-                    records[index] = _CellRecord(
-                        CellStatus.FAILED,
-                        failure=CellFailure(
-                            kind="crash",
-                            message="no outcome recorded for lane cell"),
-                        queued=outcome.queued_s)
-                elif cell["status"] == "ok":
-                    records[index] = _CellRecord(
-                        CellStatus.OK, cell["stats"], cell["elapsed"],
-                        queued=outcome.queued_s,
-                        trace_hit=cell["trace_hit"], batch=batch)
-                    flush_cell(index, cell["stats"])
-                elif cell["status"] == "timeout":
-                    records[index] = _CellRecord(
-                        CellStatus.TIMEOUT,
-                        failure=CellFailure(
-                            kind="timeout",
-                            message=f"lane cell exceeded {timeout}s "
-                                    f"attributed simulation time"),
-                        queued=outcome.queued_s, batch=batch)
-                else:
-                    records[index] = _CellRecord(
-                        CellStatus.FAILED,
-                        failure=_finalize_failure(CellFailure(
-                            kind="exception", message=cell["message"],
-                            traceback=cell["traceback"],
-                            bundle_data=cell["bundle"])),
-                        queued=outcome.queued_s, batch=batch)
-
-        if group_specs:
-            # the pool timeout bounds one *task*; a lane group is up
-            # to ``cap`` cells of work, so scale the bound accordingly
-            # (per-cell attributed timeouts run inside the batch)
-            get_pool(workers).run(
-                group_specs,
-                timeout=timeout * cap if timeout else None,
-                retries=retries, on_complete=group_done, chunk=1)
-
         specs, index_of = [], {}
-        # affinity scheduling: dispatch same-(workload, scale) cells
-        # adjacently so they land in the same chunk (and therefore the
-        # same worker), maximising the worker-side trace-LRU hit rate.
-        # Outcomes are keyed by task id and assembled in job order
-        # below, so dispatch order never affects results.
-        ordered = sorted((i for i in task_indices if i not in lane_set),
-                         key=lambda i: (jobs[i].workload, jobs[i].scale,
-                                        jobs[i].label))
         for index in ordered:
             job = jobs[index]
             key = profile_keys.get(index)
@@ -734,13 +496,6 @@ def run_suite(jobs: Sequence[Job], workers: Optional[int] = None,
                     CellStatus.FAILED,
                     failure=CellFailure(kind="crash",
                                         message="no outcome recorded"))
-        for spec in group_specs:         # same backstop, lane groups
-            for index in members_of[spec.task_id]:
-                if index not in records:
-                    records[index] = _CellRecord(
-                        CellStatus.FAILED,
-                        failure=CellFailure(kind="crash",
-                                            message="no outcome recorded"))
 
     results: Dict[str, SuiteResult] = {}
     for index, job in enumerate(jobs):
@@ -757,9 +512,4 @@ def run_suite(jobs: Sequence[Job], workers: Optional[int] = None,
             result.stats[job.workload] = record.stats
         if record.failure is not None:
             result.failures[job.workload] = record.failure
-        if record.batch is not None:
-            # keyed by batch id so a batch spanning labels (or holding
-            # many cells) counts once in occupancy aggregation
-            batch_id, steps, lane_steps = record.batch
-            result.lane_batches[batch_id] = (steps, lane_steps)
     return results

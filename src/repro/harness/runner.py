@@ -48,17 +48,13 @@ class SuiteResult:
     queued: Dict[str, float] = field(default_factory=dict)
     #: per-workload flag: did the cell come from the result cache?
     cached: Dict[str, bool] = field(default_factory=dict)
-    #: per-workload flag: was the cell's trace served from the
-    #: in-process/in-worker trace LRU instead of being regenerated?
+    #: per-workload flag: was the cell's trace reused (the caller's
+    #: trace in-process, or the trace LRU) instead of being rebuilt?
     trace_hits: Dict[str, bool] = field(default_factory=dict)
     #: per-workload terminal status (ok | failed | timeout | cached)
     statuses: Dict[str, CellStatus] = field(default_factory=dict)
     #: per-workload failure detail for non-ok cells
     failures: Dict[str, CellFailure] = field(default_factory=dict)
-    #: lane batches this suite's cells ran in: batch id →
-    #: (driver steps, lane steps); keyed by id so a batch holding many
-    #: cells — or spanning labels — counts once in occupancy math
-    lane_batches: Dict[int, Tuple[int, int]] = field(default_factory=dict)
 
     def ipc(self, workload: str) -> float:
         try:
@@ -107,24 +103,13 @@ class SuiteResult:
         return sum(1 for hit in self.cached.values() if hit)
 
     def trace_cache_hits(self) -> int:
-        """Cells whose trace came from the trace LRU (not rebuilt)."""
+        """Cells whose trace was reused, not rebuilt."""
         return sum(1 for hit in self.trace_hits.values() if hit)
 
     def trace_cache_misses(self) -> int:
         """Cells whose trace had to be (re)generated."""
         return sum(1 for name, hit in self.trace_hits.items()
                    if not hit and not self.cached.get(name, False))
-
-    def mean_lane_occupancy(self) -> float:
-        """Mean active lanes per lockstep iteration across batches.
-
-        0.0 when nothing lane-batched (the serial/per-cell paths).
-        Aggregated over driver iterations, so a long low-occupancy
-        batch is not drowned out by a short full one.
-        """
-        steps = sum(s for s, _ in self.lane_batches.values())
-        lane_steps = sum(ls for _, ls in self.lane_batches.values())
-        return lane_steps / steps if steps else 0.0
 
 
 def resolve_execution(workers: Optional[int] = None,
@@ -161,15 +146,14 @@ def run_config(label: str, config: CoreConfig,
                use_cache: Optional[bool] = None,
                cache: Optional[ResultCache] = None,
                timeout: Optional[float] = None,
-               chunk: Optional[int] = None,
-               lanes: Optional[int] = None) -> SuiteResult:
+               chunk: Optional[int] = None) -> SuiteResult:
     """Simulate every trace under ``config`` (via the executor)."""
     if not _registry_backed(traces):
         return _serial_run_config(label, config, traces, progress)
     workers, cache = resolve_execution(workers, use_cache, cache)
     results = run_suite(jobs_for(label, config, traces),
                         workers=workers, cache=cache, progress=progress,
-                        timeout=timeout, chunk=chunk, lanes=lanes)
+                        timeout=timeout, chunk=chunk)
     return results.get(label, SuiteResult(label, config))
 
 
@@ -199,8 +183,7 @@ def run_criticality_suite(specs: Sequence[Tuple[str, CoreConfig]],
                           use_cache: Optional[bool] = None,
                           cache: Optional[ResultCache] = None,
                           timeout: Optional[float] = None,
-                          chunk: Optional[int] = None,
-                          lanes: Optional[int] = None
+                          chunk: Optional[int] = None
                           ) -> Dict[str, SuiteResult]:
     """CRI runs for several output configs sharing one profile.
 
@@ -217,8 +200,7 @@ def run_criticality_suite(specs: Sequence[Tuple[str, CoreConfig]],
     for label, config in specs:
         jobs.extend(jobs_for(label, config, traces, profile_config))
     results = run_suite(jobs, workers=workers, cache=cache,
-                        progress=progress, timeout=timeout, chunk=chunk,
-                        lanes=lanes)
+                        progress=progress, timeout=timeout, chunk=chunk)
     return {label: results.get(label, SuiteResult(label, config))
             for label, config in specs}
 
@@ -266,15 +248,14 @@ def run_config_with_criticality(label: str, config: CoreConfig,
                                 use_cache: Optional[bool] = None,
                                 cache: Optional[ResultCache] = None,
                                 timeout: Optional[float] = None,
-                                chunk: Optional[int] = None,
-                                lanes: Optional[int] = None
+                                chunk: Optional[int] = None
                                 ) -> SuiteResult:
     """One CRI configuration (see :func:`run_criticality_suite`)."""
     results = run_criticality_suite([(label, config)], traces,
                                     profile_config, progress,
                                     workers=workers, use_cache=use_cache,
                                     cache=cache, timeout=timeout,
-                                    chunk=chunk, lanes=lanes)
+                                    chunk=chunk)
     return results[label]
 
 

@@ -4,14 +4,22 @@ The timing model replays a dynamic trace through a superscalar OoO
 pipeline (fetch → rename → dispatch → issue → execute → writeback →
 commit) built around Orinoco's matrix schedulers:
 
-* the IQ is a free-list (non-collapsible) structure with an
-  :class:`~repro.core.AgeMatrix`; the configured
-  :class:`~repro.scheduler.SelectPolicy` arbitrates issue;
-* the ROB is non-collapsible with the merged age/SPEC matrix
-  (:class:`~repro.core.MergedCommitMatrix`); the configured
+* the IQ is a free-list (non-collapsible) structure ordered by the age
+  matrix's order (dispatch order, critical entries first); the
+  configured :class:`~repro.scheduler.SelectPolicy` arbitrates issue;
+* the ROB is non-collapsible with the merged age/SPEC check of
+  :class:`~repro.core.MergedCommitMatrix`; the configured
   :class:`~repro.commit.CommitPolicy` retires instructions;
 * the LQ/SQ use the memory disambiguation matrix for speculative load
   issue and early (pre-performed-older-stores) load commit.
+
+The IQ age, wakeup and SPEC answers come from state kept on the
+in-flight ops (age keys, per-producer dependent lists, the SPEC
+frontier — see :mod:`repro.pipeline.stages.state`); the pipeline
+allocates no N×N matrix.  The :mod:`repro.core` matrices are the
+hardware reference model: under ``REPRO_CHECK=1`` every event is
+mirrored into them and their answers are compared with the keys after
+every stepped cycle.
 
 The stage logic itself lives in :mod:`repro.pipeline.stages` — one
 module per pipeline stage, each operating on the shared
@@ -46,9 +54,9 @@ __all__ = ["ENGINE_VERSION", "DeadlockError", "InflightOp", "O3Core",
 #: whenever the timing model's *output* could change (new counters,
 #: different arbitration, changed latencies) so stale cached SimStats
 #: from an older engine can never satisfy a lookup.  Pure-performance
-#: work that is proven bit-exact (e.g. the quiescent-cycle
-#: fast-forward, the lane-stacked matrix storage) still warrants a
-#: bump out of caution.
+#: work that is proven bit-exact against pinned SimStats (e.g. the
+#: quiescent-cycle fast-forward, scheduling from age keys instead of
+#: matrices) keeps the token.
 ENGINE_VERSION = 4
 
 _CYCLE = EventType.CYCLE
@@ -72,11 +80,8 @@ class O3Core:
     """
 
     def __init__(self, trace: Trace, config: CoreConfig,
-                 bus: Optional[EventBus] = None, slot=None):
-        # ``slot`` (repro.core.lanestack.LaneSlot) backs the matrix
-        # state with views into a lane-stacked 3-D arena; semantics
-        # are identical to owned storage (lane engine only)
-        state = PipelineState(trace, config, bus, slot=slot)
+                 bus: Optional[EventBus] = None):
+        state = PipelineState(trace, config, bus)
         # bypass __setattr__-visible delegation: plain instance attrs
         self.state = state
         self.bus = state.bus
@@ -114,8 +119,8 @@ class O3Core:
         # mirrored; they keep reading through __getattr__.
         for attr in ("trace", "config", "stats", "rng", "predictor",
                      "fetch", "rename", "commit_policy", "select_policy",
-                     "iq_queue", "iq_age", "wakeup", "iq_ops",
-                     "rob_queue", "merged", "rob_scratch", "lsq",
+                     "iq_queue", "iq_ops", "rob_queue", "spec_live",
+                     "lsq",
                      "hierarchy", "tlb",
                      "fupool", "window", "ops", "zombies",
                      "pending_release", "commit_candidates", "ready_set",
@@ -165,44 +170,10 @@ class O3Core:
         s.fupool.begin_cycle(cycle)
         for tick in self._ticks:
             tick(cycle)
+        if s.shadow is not None:
+            s.shadow.verify(s)
         self._tick_stats(cycle)
         s.cycle += 1
-        if s.cycle - s.progress_cycle > 50_000:
-            raise DeadlockError(
-                f"no progress since cycle {s.progress_cycle}: "
-                f"window={list(s.window.values())[:8]}")
-
-    # ------------------------------------------------------------------
-    # lane-engine phase entry points (repro.pipeline.vectorstages).
-    # One lockstep cycle is the scalar step() re-ordered stage-major
-    # across lanes; these two methods bundle the per-lane prefix and
-    # suffix into single Python calls so the vector engine pays one
-    # call per lane per phase instead of one per stage.
-    # ------------------------------------------------------------------
-
-    def vec_phase_a(self) -> None:
-        """Cycle prefix: FU reset, the commit / writeback / memory /
-        execute ticks and the wrong-path ready drain, in scalar
-        :meth:`step` order."""
-        s = self.state
-        cycle = s.cycle
-        s.fupool.begin_cycle(cycle)
-        ticks = self._ticks
-        ticks[0](cycle)
-        ticks[1](cycle)
-        ticks[2](cycle)
-        ticks[3](cycle)
-        if s.wp_ready:
-            self.stages[4].drain_wp(cycle)
-
-    def vec_phase_d(self) -> None:
-        """Cycle suffix: fetch tick, per-cycle stats, cycle advance
-        and the no-progress watchdog — the scalar :meth:`step` tail."""
-        s = self.state
-        cycle = s.cycle
-        self._ticks[6](cycle)
-        self._tick_stats(cycle)
-        s.cycle = cycle + 1
         if s.cycle - s.progress_cycle > 50_000:
             raise DeadlockError(
                 f"no progress since cycle {s.progress_cycle}: "

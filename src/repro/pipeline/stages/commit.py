@@ -15,8 +15,6 @@ unchanged.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..events import CommitEvent, CommitStall, EventType, MemEvent
 from .squash import SquashUnit
 from .state import InflightOp, PipelineState
@@ -32,7 +30,6 @@ class CommitStage:
     def __init__(self, state: PipelineState, squash: SquashUnit):
         self.s = state
         self.squash = squash
-        self._grants = np.empty(state.config.rob_size, dtype=bool)
         #: the O3Core facade, wired by the driver after construction;
         #: commit policies and the exception flush are invoked through
         #: it so monkeypatched cores keep intercepting them.
@@ -68,20 +65,17 @@ class CommitStage:
         s = self.s
         if not s.commit_candidates:
             return None
-        completed = s.rob_scratch
-        completed[:] = False
         head_seq = next(iter(s.window))
-        head_entry = s.window[head_seq].rob_entry
-        for seq in s.commit_candidates:
-            op = s.window.get(seq)
-            if op is not None:
-                completed[op.rob_entry] = True
-        grants = s.merged.can_commit(completed, out=self._grants)
-        grants[head_entry] = False
+        frontier = s.spec_frontier()
+        window = s.window
+        # completed candidates with no older speculative entry (the
+        # merged matrix's safe vector), the head excepted
+        ready_not_head = any(
+            seq != head_seq and seq <= frontier and seq in window
+            for seq in s.commit_candidates)
         rob_full = s.rob_queue.is_full()
         if rob_full:
             s.stats.rob_full_commit_stall_cycles += weight
-        ready_not_head = bool(grants.any())
         if ready_not_head:
             s.stats.stalled_commit_ready_cycles += weight
             if rob_full:
@@ -134,7 +128,10 @@ class CommitStage:
         del s.window[op.seq]
         s.commit_candidates.discard(op.seq)
         s.rob_queue.free(op.rob_entry)
-        s.merged.remove(op.rob_entry)
+        # retiring past its own unresolved (harmless) SPEC bit
+        s.spec_live.discard(op.seq)
+        if s.shadow is not None:
+            s.shadow.remove(op.rob_entry)
         s.retired_total += 1
         s.stats.committed += 1
         s.progress_cycle = cycle

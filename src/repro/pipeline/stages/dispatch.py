@@ -2,7 +2,10 @@
 
 Up to ``dispatch_width`` instructions per cycle leave the dispatch
 buffer, allocate their structural resources, rename, and register
-their dependences in the wakeup matrix / completion counters.  A cycle
+their dependences: positionally on IQ-resident producers (the wakeup
+matrix's row, kept as ``iq_pending`` plus the producer's
+``iq_dependents``), otherwise on completion counters.  Each op gets
+its IQ age key, and speculative ops join the SPEC set.  A cycle
 that cannot dispatch charges its stall to exactly one resource: the
 first exhausted one — in fixed ``rob, iq, lq, sq, reg`` priority order
 — blocking the oldest not-yet-dispatched instruction.  Even when
@@ -17,7 +20,7 @@ from typing import Optional
 
 from ...isa import DynInstr, OpClass, Opcode
 from ..events import DispatchEvent, DispatchStall, EventType
-from .state import InflightOp, PipelineState
+from .state import NONCRITICAL, InflightOp, PipelineState
 
 _DISPATCH = EventType.DISPATCH
 _STALL = EventType.STALL
@@ -28,18 +31,6 @@ class DispatchStage:
 
     def __init__(self, state: PipelineState):
         self.s = state
-        # per-cycle group accumulators: the matrices are written once
-        # per cycle with batched group stores instead of per-op writes
-        self._g_rob: list = []
-        self._g_spec: list = []
-        self._g_iq: list = []
-        self._g_crit: list = []
-        self._g_prods: list = []
-        # cross-lane fused landing (repro.pipeline.vectorstages): with
-        # ``defer_flush`` the accumulators survive the tick and the
-        # vector engine lands every lane's group in one batched store
-        # over the 3-D stack
-        self.defer_flush = False
         # the latency table is immutable after construction
         self._latency = state.config.latencies.get
 
@@ -65,23 +56,10 @@ class DispatchStage:
                 self._do_dispatch(fetched, cycle)
                 s.ops[fetched.instr.seq].dispatched_at = cycle
             dispatched += 1
-        if dispatched and not self.defer_flush:
-            self._flush_group()
+        if dispatched and s.shadow is not None:
+            s.shadow.flush_dispatch()
         if dispatched and not stalled:
             s.progress_cycle = cycle
-
-    def _flush_group(self) -> None:
-        """Land this cycle's dispatch group in the matrices: one batched
-        write per structure (oldest group member first)."""
-        s = self.s
-        s.merged.dispatch_group(self._g_rob, self._g_spec)
-        s.iq_age.dispatch_group(self._g_iq, self._g_crit)
-        s.wakeup.dispatch_group(self._g_iq, self._g_prods)
-        self._g_rob.clear()
-        self._g_spec.clear()
-        self._g_iq.clear()
-        self._g_crit.clear()
-        self._g_prods.clear()
 
     # -- stall attribution ---------------------------------------------
 
@@ -127,10 +105,6 @@ class DispatchStage:
         op.rob_entry = s.rob_queue.allocate()
         op.iq_entry = s.iq_queue.allocate()
         op.in_iq = True
-        if s.iq_stamp is not None:
-            # struct-of-arrays issue columns for the vectorized kernels
-            s.iq_stamp[op.iq_entry] = op.dispatch_stamp
-            s.iq_fu[op.iq_entry] = op.fu
         if dyn.is_load:
             s.lsq.allocate_load(dyn.seq)
         elif dyn.is_store:
@@ -147,15 +121,17 @@ class DispatchStage:
         else:
             addr_srcs = dyn.srcs
             data_srcs = ()
-        producer_entries = []
+        producers = []
         for src in set(addr_srcs):
             writer = self._live_writer(src)
             if writer is None:
                 continue
             if writer.in_iq:
-                # positional dependence: tracked in the wakeup matrix
-                # until the producer issues (§3.4)
-                producer_entries.append(writer.iq_entry)
+                # positional dependence (the wakeup matrix, §3.4):
+                # waits until the producer issues
+                if writer not in producers:
+                    producers.append(writer)
+                    writer.iq_dependents.append(op)
             else:
                 op.producers_remaining += 1
                 writer.dependents.append((op, "op"))
@@ -181,14 +157,18 @@ class DispatchStage:
             op.prev_writer = (dyn.dst, s.last_writer.get(dyn.dst))
             s.last_writer[dyn.dst] = dyn.seq
 
+        op.iq_pending = len(producers)
         speculative = self._is_speculative_at_dispatch(dyn)
-        self._g_rob.append(op.rob_entry)
-        self._g_spec.append(speculative)
         op.spec_resolved = not speculative
+        if speculative:
+            s.spec_live.add(dyn.seq)
+            heapq.heappush(s.spec_heap, dyn.seq)
         critical = s.config.criticality and dyn.critical
-        self._g_iq.append(op.iq_entry)
-        self._g_crit.append(critical)
-        self._g_prods.append(producer_entries)
+        op.age_key = op.dispatch_stamp if critical \
+            else op.dispatch_stamp + NONCRITICAL
+        if s.shadow is not None:
+            s.shadow.dispatch(op, speculative, critical,
+                              [p.iq_entry for p in producers])
         s.stats.iq_writes += 1
         s.stats.rob_writes += 1
         s.stats.wakeup_writes += 1
@@ -196,7 +176,7 @@ class DispatchStage:
         s.window[dyn.seq] = op
         s.ops[dyn.seq] = op
         s.iq_ops[op.iq_entry] = op
-        if op.producers_remaining == 0 and not producer_entries:
+        if op.producers_remaining == 0 and not producers:
             s.ready_set.add(op.iq_entry)
         s.stats.dispatched += 1
         bus = s.bus
@@ -213,17 +193,12 @@ class DispatchStage:
         op.wrong_path = True
         s.dispatch_counter += 1
         op.dispatch_stamp = s.dispatch_counter
+        op.age_key = op.dispatch_stamp + NONCRITICAL
         op.rob_entry = s.rob_queue.allocate()
         op.iq_entry = s.iq_queue.allocate()
         op.in_iq = True
-        if s.iq_stamp is not None:
-            s.iq_stamp[op.iq_entry] = op.dispatch_stamp
-            s.iq_fu[op.iq_entry] = op.fu
-        self._g_rob.append(op.rob_entry)
-        self._g_spec.append(False)
-        self._g_iq.append(op.iq_entry)
-        self._g_crit.append(False)
-        self._g_prods.append(())
+        if s.shadow is not None:
+            s.shadow.dispatch(op, False, False, ())
         s.window[op.seq] = op
         s.ops[op.seq] = op
         s.iq_ops[op.iq_entry] = op

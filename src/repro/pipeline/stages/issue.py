@@ -1,17 +1,17 @@
 """Issue stage: arbitrate the ready set and hand winners to execute.
 
 The configured :class:`~repro.scheduler.SelectPolicy` sees the ready
-IQ entries, the per-FU-type availability and the issue width, and
-grants up to IW instructions (the paper's Figure 13/14 policies).
-Granted instructions leave the IQ — their wakeup column broadcasts,
-converting positional dependents to completion counters — and begin
-execution.
+IQ entries, their age keys (the age matrix's order, criticality
+encoding included), the per-FU-type availability and the issue width,
+and grants up to IW instructions (the paper's Figure 13/14 policies).
+The stock AGE policy is granted directly from the oldest ready key,
+without building a select context.
 
-The wakeup broadcast is batched: one column gather covers every
-instruction issued this cycle (a dependent waiting on several of them
-is walked once, not once per producer), and all issued columns clear
-in a single fancy-indexed store.  The conversion hand-off is one-way —
-this stage only *increments* completion counters; the writeback walk
+Granted instructions leave the IQ.  Their wakeup broadcast walks each
+issuer's ``iq_dependents`` (its wakeup-matrix column): every dependent
+still in the IQ drops one ``iq_pending`` and switches to waiting on the
+issuer's completion counter.  The hand-off is one-way — this stage
+only *increments* completion counters; the writeback walk
 (:meth:`WritebackStage.complete`) is the sole waker that decrements
 them and re-checks readiness, so no dependent is ever woken twice.
 """
@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import heapq
 from typing import List
-
-import numpy as np
 
 from ...scheduler import AgeSelect, SelectContext
 from ..events import EventType, IssueEvent, SelectEvent
@@ -43,25 +41,12 @@ class IssueStage:
         # rebound, so closing over it once is safe)
         iq_ops = state.iq_ops
         self._fu_of = lambda entry: iq_ops[entry].fu
+        self._key_of = lambda entry: iq_ops[entry].age_key
         self._age_of = lambda entry: iq_ops[entry].dispatch_stamp
-        # direct-grant fast path eligibility: for the stock AGE policy
-        # without criticality the matrix oldest is exactly the
-        # min-dispatch-stamp ready entry (dispatch order == age order),
-        # so small ready sets can be granted without building a
-        # SelectContext or touching the matrix.  Bit-exact: the grant
-        # list and the rng entropy consumed are identical to
-        # AgeSelect.select (a shuffle of < 2 elements consumes none).
-        self._age_fast = (type(state.select_policy) is AgeSelect
-                          and not state.config.criticality)
-        # cross-lane fused wakeup broadcast (repro.pipeline.
-        # vectorstages): with ``defer_broadcast`` the issued entries
-        # collect in ``deferred`` and the vector engine performs every
-        # lane's column clears / pending decrements in one batched
-        # store over the 3-D stack (before any dispatch reuses a freed
-        # entry; nothing else in this lane's tick reads the wakeup
-        # planes of issued entries)
-        self.defer_broadcast = False
-        self.deferred: List[int] = []
+        # the stock AGE policy is granted directly (_grant_age): same
+        # grant list, grant order and rng use as AgeSelect.select,
+        # without building a SelectContext
+        self._age_direct = type(state.select_policy) is AgeSelect
 
     def drain_wp(self, cycle: int) -> None:
         """Move due wrong-path instructions into the ready set."""
@@ -81,83 +66,45 @@ class IssueStage:
         width = s.config.issue_width
         if len(ready) > width:
             s.stats.ready_excess_cycles += 1
+        s.stats.iq_select_ops += 1
         bus = s.bus
-        if self._age_fast and len(ready) <= width \
-                and s.fupool.all_free():
-            # satellite fast path: grant directly, skipping the
-            # SelectContext build and the matrix select
-            s.stats.iq_select_ops += 1
-            if bus.live[_SELECT]:
-                bus.publish(SelectEvent(cycle, len(ready), width))
-            if len(ready) == 1:
-                entry = next(iter(ready))
-                avail = s.fupool.availability_vector()
-                granted = [entry] if avail[s.iq_ops[entry].fu] > 0 \
-                    else []
-            else:
-                iq_ops = s.iq_ops
-                oldest = min(ready,
-                             key=lambda e: iq_ops[e].dispatch_stamp)
-                granted = self._grant_age(oldest,
-                                          s.fupool.availability_vector())
+        if bus.live[_SELECT]:
+            bus.publish(SelectEvent(cycle, len(ready), width))
+        if self._age_direct:
+            granted = self._grant_age(min(ready, key=self._key_of),
+                                      s.fupool.availability_vector())
         else:
-            ctx = SelectContext(
+            granted = s.select_policy.select(SelectContext(
                 entries=sorted(ready),
                 fu_of=self._fu_of,
+                key_of=self._key_of,
                 age_of=self._age_of,
-                age_matrix=s.iq_age,
                 fu_available=s.fupool.availability_vector(),
                 width=width,
-                rng=s.rng)
-            s.stats.iq_select_ops += 1
-            if bus.live[_SELECT]:
-                bus.publish(SelectEvent(cycle, len(ready), width))
-            granted = s.select_policy.select(ctx)
+                rng=s.rng))
         self.issue_granted(granted, cycle)
 
-    def tick_vec(self, cycle: int, oldest: int) -> None:
-        """Issue tick for a vector-engine lane.
-
-        The cross-lane select kernel already computed this lane's
-        matrix-oldest ready entry (``oldest``; meaningless when the
-        ready set is empty — guarded here).  The wrong-path drain ran
-        in the engine's pre-pass.  Only valid for lanes passing
-        :func:`~repro.pipeline.vectorstages.lane_vectorizable`.
-        """
-        s = self.s
-        ready = s.ready_set
-        if not ready:
-            return
-        width = s.config.issue_width
-        if len(ready) > width:
-            s.stats.ready_excess_cycles += 1
-        s.stats.iq_select_ops += 1
-        granted = self._grant_age(oldest, s.fupool.availability_vector())
-        self.issue_granted(granted, cycle)
-
-    def _grant_age(self, oldest: int, avail, rng=None) -> List[int]:
-        """AGE grant from the precomputed oldest ready entry.
+    def _grant_age(self, oldest: int, avail) -> List[int]:
+        """AGE grant from the oldest ready entry (smallest age key).
 
         Replicates ``AgeSelect.select`` + ``_fill_greedy`` exactly —
-        grant order, FU feasibility, and rng entropy included — with
-        the matrix sense replaced by the stamp-derived ``oldest``.
-        ``rng`` overrides the state rng (the ``REPRO_CHECK`` select
-        cross-check passes clones).
+        grant order, FU feasibility, and rng entropy included.
         """
         s = self.s
-        if rng is None:
-            rng = s.rng
         iq_ops = s.iq_ops
+        ready = s.ready_set
+        if len(ready) == 1:
+            return [oldest] if avail[iq_ops[oldest].fu] > 0 else []
         granted: List[int] = []
         if avail[iq_ops[oldest].fu] > 0:
             granted.append(oldest)
-            rest = [e for e in sorted(s.ready_set) if e != oldest]
+            rest = [e for e in sorted(ready) if e != oldest]
         else:
-            rest = sorted(s.ready_set)
+            rest = sorted(ready)
         if len(rest) > 1:
             # a shuffle of < 2 elements consumes no rng entropy, so
             # skipping the call is bit-exact
-            rng.shuffle(rest)
+            s.rng.shuffle(rest)
         avail = list(avail)
         if granted:
             avail[iq_ops[oldest].fu] -= 1
@@ -204,56 +151,27 @@ class IssueStage:
     def _leave_iq(self, issued: List[InflightOp]) -> None:
         s = self.s
         iq_ops = s.iq_ops
-        bits = s.wakeup.matrix.bits
-        # wakeup broadcast: clear the issued producers' columns.
-        # Dependents whose rows drain switch to waiting on the value
-        # itself (the completion counter models the latency-delayed
-        # broadcast).  One batched column gather walks every dependent
-        # of the whole issue group at once.
-        entries = [op.iq_entry for op in issued]
-        if len(issued) == 1:
-            op = issued[0]
-            for dep_entry in np.flatnonzero(bits[:, entries[0]]):
-                dep = iq_ops.get(int(dep_entry))
-                if dep is None:
-                    continue
-                dep.producers_remaining += 1
-                op.dependents.append((dep, "op"))
-        else:
-            block = bits[:, entries]
-            for dep_entry in np.flatnonzero(block.any(axis=1)):
-                d = int(dep_entry)
-                dep = iq_ops.get(d)
-                if dep is None:
-                    continue
-                row = block[d]
-                for j, op in enumerate(issued):
-                    if row[j]:
-                        dep.producers_remaining += 1
-                        op.dependents.append((dep, "op"))
         free = s.iq_queue.free
         discard = s.ready_set.discard
-        if self.defer_broadcast:
-            # the vector engine's broadcast kernel performs both the
-            # wakeup column clears and the age-matrix valid clears for
-            # every lane's issued entries in fused stores
-            self.deferred.extend(entries)
-            for op in issued:
-                entry = op.iq_entry
-                free(entry)
-                discard(entry)
-                del iq_ops[entry]
-                op.in_iq = False
-                op.iq_entry = None
-        else:
-            s.wakeup.issue(entries)
-            remove = s.iq_age.remove
-            for op in issued:
-                entry = op.iq_entry
-                free(entry)
-                remove(entry)
-                discard(entry)
-                del iq_ops[entry]
-                op.in_iq = False
-                op.iq_entry = None
+        shadow = s.shadow
+        entries = [op.iq_entry for op in issued] if shadow else None
+        for op in issued:
+            # wakeup broadcast: dependents still in the IQ stop waiting
+            # on the issue and wait on the value instead (the
+            # completion counter models the latency-delayed broadcast)
+            if op.iq_dependents:
+                for dep in op.iq_dependents:
+                    if dep.in_iq:
+                        dep.iq_pending -= 1
+                        dep.producers_remaining += 1
+                        op.dependents.append((dep, "op"))
+                op.iq_dependents.clear()
+            entry = op.iq_entry
+            free(entry)
+            discard(entry)
+            del iq_ops[entry]
+            op.in_iq = False
+            op.iq_entry = None
+        if shadow is not None:
+            shadow.issue(entries)
         s.stats.wakeup_ops += len(issued)

@@ -28,12 +28,14 @@ class SquashUnit:
         the machine is squashed."""
         s = self.s
         victims = [op for op in s.ops.values() if op.wrong_path]
+        shadow = s.shadow
         for op in victims:
             op.exec_token += 1
             if op.in_iq:
                 self.leave_iq_squash(op)
             s.rob_queue.free(op.rob_entry)
-            s.merged.remove(op.rob_entry)
+            if shadow is not None:
+                shadow.remove(op.rob_entry)
             s.window.pop(op.seq, None)
             s.ops.pop(op.seq, None)
         s.wp_ready = []
@@ -54,13 +56,17 @@ class SquashUnit:
         victims = [op for op in s.ops.values()
                    if op.seq >= seq and not op.committed]
         victims.sort(key=lambda op: op.seq, reverse=True)
+        shadow = s.shadow
         for op in victims:
             op.exec_token += 1          # cancel in-flight completions
             if op.in_iq:
                 self.leave_iq_squash(op)
+            # a squashed op no longer holds the SPEC frontier back
+            s.spec_live.discard(op.seq)
             if op.rob_entry is not None:
                 s.rob_queue.free(op.rob_entry)
-                s.merged.remove(op.rob_entry)
+                if shadow is not None:
+                    shadow.remove(op.rob_entry)
             s.window.pop(op.seq, None)
             s.ops.pop(op.seq, None)
             s.commit_candidates.discard(op.seq)
@@ -93,11 +99,19 @@ class SquashUnit:
                                       resume_seq))
 
     def leave_iq_squash(self, op: InflightOp) -> None:
+        """Drop ``op`` from the IQ without waking its dependents (they
+        are younger, so squashed with it; any still resident only stop
+        counting it, as a cleared wakeup-matrix column would)."""
         s = self.s
         entry = op.iq_entry
-        s.wakeup.squash([entry])
+        for dep in op.iq_dependents:
+            if dep.in_iq:
+                dep.iq_pending -= 1
+        op.iq_dependents.clear()
+        op.iq_pending = 0
+        if s.shadow is not None:
+            s.shadow.squash_iq(entry)
         s.iq_queue.free(entry)
-        s.iq_age.remove(entry)
         s.ready_set.discard(entry)
         s.iq_ops.pop(entry, None)
         op.in_iq = False

@@ -1,9 +1,29 @@
-"""Shared pipeline state: the in-flight map, matrices, queues, LSQ.
+"""Shared pipeline state: the in-flight map, queues, LSQ, schedule keys.
 
 :class:`PipelineState` is the single structure every stage operates on.
 It owns no stage logic — only the machine's architectural and
-micro-architectural containers plus two helpers (completion scheduling
-and forward-progress stamping) that every stage needs.
+micro-architectural containers plus the helpers every stage needs
+(completion scheduling, forward-progress stamping, SPEC tracking).
+
+The three matrix schedulers answer their questions from state kept on
+the in-flight ops, in the order the matrices would give:
+
+* **IQ age** (age matrix, §3.1): :attr:`InflightOp.age_key`, i.e.
+  ``(not critical, dispatch_stamp)`` packed into one int — critical
+  entries first (Figure 3's encoding), each group in dispatch order.
+* **Wakeup** (§3.4): each IQ-resident producer lists its positional
+  dependents in :attr:`InflightOp.iq_dependents`; a dependent counts
+  its not-yet-issued producers in :attr:`InflightOp.iq_pending`.
+* **SPEC** (merged age/SPEC matrix, §3.2): the seqs of live
+  speculative ops in :attr:`PipelineState.spec_live`, with a lazily
+  pruned min-heap whose top is the *frontier*.  Correct-path ROB order
+  is seq order, so an entry has no older speculative entry exactly
+  when ``seq <= frontier``.
+
+Under ``REPRO_CHECK=1`` the state also carries a
+:class:`~repro.pipeline.stages.shadow.MatrixShadow` that mirrors every
+event into the :mod:`repro.core` matrices and compares their answers
+with these keys every cycle.
 """
 
 from __future__ import annotations
@@ -13,9 +33,7 @@ import random
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
-import numpy as np
-
-from ...core import AgeMatrix, MergedCommitMatrix, WakeupMatrix
+from ...core import check
 from ...frontend import FetchUnit, make_predictor
 from ...isa import DynInstr, Trace
 from ...lsq import LSQUnit
@@ -27,6 +45,14 @@ from ..config import CoreConfig
 from ..events import EventBus
 from ..resources import FUPool, FUType, fu_type_for, is_unpipelined
 from ..stats import SimStats
+from .shadow import MatrixShadow
+
+#: added to a non-critical op's dispatch stamp in its age key, so every
+#: critical op orders before every non-critical one (stamps stay far
+#: below it)
+NONCRITICAL = 1 << 48
+
+_INF = float("inf")
 
 
 class InflightOp:
@@ -40,6 +66,7 @@ class InflightOp:
         "translated", "addr_resolved", "fault_pending", "mem_nonspec",
         "spec_resolved", "committed", "zombie", "resources_released",
         "prev_writer", "exec_token", "wrong_path", "dispatch_stamp",
+        "age_key", "iq_pending", "iq_dependents",
         "dispatched_at", "completed_at", "committed_at")
 
     def __init__(self, dyn: DynInstr, mispredicted: bool):
@@ -73,6 +100,13 @@ class InflightOp:
         self.exec_token = 0               # invalidates stale completions
         self.wrong_path = False
         self.dispatch_stamp = 0           # true dispatch (age) order
+        #: IQ age-matrix order: (not critical, dispatch_stamp) as an int
+        self.age_key = 0
+        #: not-yet-issued IQ producers (the wakeup-matrix row count)
+        self.iq_pending = 0
+        #: IQ-resident dependents waiting on this op's issue (its
+        #: wakeup-matrix column)
+        self.iq_dependents: List["InflightOp"] = []
         self.dispatched_at: Optional[int] = None
         self.completed_at: Optional[int] = None
         self.committed_at: Optional[int] = None
@@ -87,50 +121,15 @@ class InflightOp:
                 f"{'c' if self.committed else ''}>")
 
 
-class MirroredReadySet(set):
-    """A ready set that mirrors membership into a lane-stack bit plane.
-
-    The cross-lane vectorized select kernel
-    (:mod:`repro.pipeline.vectorstages`) reads every lane's ready set
-    as one ``(lanes, iq_size)`` boolean plane.  This wrapper keeps the
-    plane exact by construction: the only mutations any stage performs
-    on ``ready_set`` are ``add`` and ``discard`` (never ``clear`` /
-    ``pop`` / rebinding), and both are mirrored point-wise.  All read
-    paths (membership, iteration, ``len``, truthiness) are the plain
-    ``set`` ones — the scalar stage code is unchanged.
-    """
-
-    __slots__ = ("plane",)
-
-    def __init__(self, plane: np.ndarray):
-        super().__init__()
-        self.plane = plane
-        plane[...] = False
-
-    def add(self, entry: int) -> None:
-        set.add(self, entry)
-        self.plane[entry] = True
-
-    def discard(self, entry: int) -> None:
-        set.discard(self, entry)
-        self.plane[entry] = False
-
-
 class PipelineState:
     """Everything the stages share, constructed from a trace + config."""
 
     def __init__(self, trace: Trace, config: CoreConfig,
-                 bus: Optional[EventBus] = None, slot=None):
+                 bus: Optional[EventBus] = None):
         # deferred: repro.commit imports pipeline.events at module
         # level, so importing it here (not at state.py import time)
         # keeps the package import graph acyclic
         from ...commit import make_commit_policy
-        if slot is not None and (slot.iq_size != config.iq_size
-                                 or slot.rob_size != config.rob_size):
-            raise ValueError(
-                f"lane slot shape (iq={slot.iq_size}, "
-                f"rob={slot.rob_size}) does not match config "
-                f"(iq={config.iq_size}, rob={config.rob_size})")
         self.trace = trace
         self.config = config
         self.bus = bus if bus is not None else EventBus()
@@ -146,40 +145,26 @@ class PipelineState:
         self.commit_policy = make_commit_policy(config.commit)
         self.select_policy = make_select_policy(config.scheduler)
 
-        # IQ: non-collapsible free list + age matrix + wakeup matrix.
-        # With a lane ``slot`` (repro.core.lanestack.LaneSlot) the
-        # matrices operate on views into 3-D lane-stacked arrays — a
-        # struct-of-arrays layout over batch-mates; without one they
-        # own their arrays (the scalar reference path, unchanged).
+        # IQ: non-collapsible free list; age order and wakeup live on
+        # the ops (age_key, iq_pending / iq_dependents)
         if config.iq_org == "circ":
             self.iq_queue = CircularQueue(config.iq_size)
         else:
             self.iq_queue = RandomQueue(config.iq_size)
-        self.iq_age = AgeMatrix(
-            config.iq_size,
-            storage=None if slot is None else slot.iq_age)
-        self.wakeup = WakeupMatrix(
-            config.iq_size,
-            storage=None if slot is None else slot.wakeup)
         self.iq_ops: Dict[int, InflightOp] = {}
 
-        # ROB: merged age/SPEC matrix over a non-collapsible (or, for
-        # in-order reclamation, circular) entry pool
+        # ROB: a non-collapsible (or, for in-order reclamation,
+        # circular) entry pool; SPEC is the set of live speculative
+        # seqs plus a lazily pruned min-heap over it
         if config.ooo_rob_release:
             self.rob_queue = RandomQueue(config.rob_size)
         else:
             self.rob_queue = CircularQueue(config.rob_size)
-        self.merged = MergedCommitMatrix(
-            config.rob_size,
-            storage=None if slot is None else slot.merged)
-        # ROB-sized bool scratch shared by the per-cycle eligibility
-        # gathers (commit policies, stall accounting) — never held
-        # across a cycle
-        if slot is None:
-            self.rob_scratch = np.zeros(config.rob_size, dtype=bool)
-        else:
-            self.rob_scratch = slot.rob_scratch
-            self.rob_scratch[...] = False
+        self.spec_live: set = set()
+        self.spec_heap: List[int] = []
+        #: REPRO_CHECK mirror into the repro.core matrices (else None)
+        self.shadow: Optional[MatrixShadow] = \
+            MatrixShadow(config) if check.check_enabled() else None
 
         self.lsq = LSQUnit(config.lq_size, config.sq_size,
                            config.store_buffer_size, tso=config.tso,
@@ -205,21 +190,8 @@ class PipelineState:
 
         self.frontend_pipe: Deque[Tuple[int, object]] = deque()
         self.dispatch_buffer: Deque[object] = deque()
-        # struct-of-arrays issue columns: with a lane slot the ready
-        # set mirrors into the stack's issue_ready plane and dispatch
-        # stamps/FU codes land in per-entry columns so the vectorized
-        # select kernel can read all lanes at once; the scalar path
-        # keeps the plain set (and None columns) unchanged
-        if slot is None:
-            self.ready_set: set = set()
-            self.iq_stamp = None
-            self.iq_fu = None
-        else:
-            self.ready_set = MirroredReadySet(slot.issue_ready)
-            self.iq_stamp = slot.iq_stamp
-            self.iq_stamp[...] = 0
-            self.iq_fu = slot.iq_fu
-            self.iq_fu[...] = 0
+        # IQ entries whose operands are all available
+        self.ready_set: set = set()
         self.completion_heap: List[Tuple[int, int, int]] = []
         self.mem_retry: List[InflightOp] = []
         # loads parked on a forwarding store whose data is not ready yet
@@ -261,4 +233,21 @@ class PipelineState:
         if not op.spec_resolved:
             op.spec_resolved = True
             if not op.committed and op.rob_entry is not None:
-                self.merged.resolve(op.rob_entry)
+                self.spec_live.discard(op.seq)
+                if self.shadow is not None:
+                    self.shadow.resolve(op.rob_entry)
+
+    def spec_frontier(self) -> float:
+        """Seq of the oldest live speculative op (``inf`` if none).
+
+        A correct-path ROB entry is safe to commit — no older entry may
+        still raise misspeculation or an exception — exactly when its
+        seq is ``<= spec_frontier()``: the merged matrix's
+        ``NOR(age_row & SPEC)``.  Heap entries whose seq left
+        :attr:`spec_live` (resolved, retired, squashed) are pruned here.
+        """
+        heap = self.spec_heap
+        live = self.spec_live
+        while heap and heap[0] not in live:
+            heapq.heappop(heap)
+        return heap[0] if heap else _INF

@@ -80,7 +80,7 @@ class WritebackStage:
             else:
                 dep.producers_remaining -= 1
                 if (dep.producers_remaining == 0 and dep.in_iq
-                        and s.wakeup.is_ready(dep.iq_entry)):
+                        and dep.iq_pending == 0):
                     s.ready_set.add(dep.iq_entry)
         if s.active_fence == op.seq:
             s.active_fence = None

@@ -19,38 +19,48 @@ issue width IW, which instructions issue?
   a collapsible SHIFT queue would make positionally.
 
 CRI (criticality scheduling) is not a separate selector: criticality is
-encoded at dispatch into the age matrix (critical instructions inserted
+encoded at dispatch into the age order (critical instructions inserted
 as "older"), after which ``OrinocoSelect`` or ``AgeSelect`` run
 unchanged — exactly the paper's design.
+
+The age matrix answers one question — which entries are older — and
+its answer is a total order: dispatch order with critical entries
+first.  The policies read that order as a sortable *age key* per entry
+(``SelectContext.key_of``) and reproduce the matrix grants exactly:
+bit-count ``select_oldest(request, k)`` is "the k smallest keys",
+``select_single_oldest`` is "the smallest key", and grants come back
+in IQ-entry order as the matrix's grant vector lists them.  The
+:class:`~repro.core.AgeMatrix` stays the hardware reference model;
+``tests/test_key_order.py`` checks every policy against it.
 """
 
 from __future__ import annotations
 
 import abc
 import random
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
-import numpy as np
-
-from ..core import AgeMatrix
 from ..pipeline.resources import FUType
 
 
 class SelectContext:
     """What a policy may look at when selecting.
 
-    ``entries`` are the ready IQ entry indices.  ``fu_of`` maps an entry
-    to its FU type, ``age_of`` to its dispatch order (oracle — only
-    IdealSelect uses it), ``age_matrix`` is the IQ's age matrix.
+    ``entries`` are the ready IQ entry indices, ascending.  ``fu_of``
+    maps an entry to its FU type; ``key_of`` to its age key — smaller
+    is older in the age matrix's order (criticality included);
+    ``age_of`` to its true dispatch order (oracle — only IdealSelect
+    uses it; defaults to ``key_of``).
     """
 
     def __init__(self, entries: Sequence[int], fu_of: Callable[[int], FUType],
-                 age_of: Callable[[int], int], age_matrix: AgeMatrix,
-                 fu_available, width: int, rng: random.Random):
+                 key_of: Callable[[int], int], fu_available, width: int,
+                 rng: random.Random,
+                 age_of: Optional[Callable[[int], int]] = None):
         self.entries = list(entries)
         self.fu_of = fu_of
-        self.age_of = age_of
-        self.age_matrix = age_matrix
+        self.key_of = key_of
+        self.age_of = age_of if age_of is not None else key_of
         # flat per-type list indexed by FUType (what FUPool hands over);
         # a dict (convenient in tests) is normalised here once.  The
         # policies never mutate it — they copy before decrementing — so
@@ -64,33 +74,18 @@ class SelectContext:
         self.width = width
         self.rng = rng
 
-    def request_mask(self, entries: Sequence[int],
-                     out: np.ndarray = None) -> np.ndarray:
-        mask = out if out is not None else np.zeros(self.age_matrix.size,
-                                                    dtype=bool)
-        mask[:] = False
-        for entry in entries:
-            mask[entry] = True
-        return mask
+    def oldest(self, entries: Sequence[int], k: int) -> List[int]:
+        """The ``k`` oldest of ``entries`` (bit-count select), listed in
+        IQ-entry order like the matrix's grant vector."""
+        if len(entries) <= k:
+            return sorted(entries)
+        return sorted(sorted(entries, key=self.key_of)[:k])
 
 
 class SelectPolicy(abc.ABC):
     """One issue-selection strategy."""
 
     name = "abstract"
-
-    def __init__(self) -> None:
-        # per-policy-instance select scratch (one mask + one grant
-        # vector, sized to the IQ on first use) so steady-state
-        # selection allocates nothing
-        self._mask: np.ndarray = None
-        self._grant: np.ndarray = None
-
-    def _buffers(self, size: int):
-        if self._mask is None or len(self._mask) != size:
-            self._mask = np.empty(size, dtype=bool)
-            self._grant = np.empty(size, dtype=bool)
-        return self._mask, self._grant
 
     @abc.abstractmethod
     def select(self, ctx: SelectContext) -> List[int]:
@@ -132,11 +127,8 @@ class AgeSelect(SelectPolicy):
 
     def select(self, ctx: SelectContext) -> List[int]:
         granted: List[int] = []
-        mask, grant = self._buffers(ctx.age_matrix.size)
-        request = ctx.request_mask(ctx.entries, out=mask)
-        oldest = ctx.age_matrix.select_single_oldest(request, out=grant)
-        if oldest.any():
-            entry = int(oldest.argmax())     # first (only) set grant bit
+        if ctx.entries:
+            entry = min(ctx.entries, key=ctx.key_of)
             if ctx.fu_available[ctx.fu_of(entry)] > 0:
                 granted.append(entry)
         rest = [e for e in ctx.entries if e not in granted]
@@ -155,16 +147,11 @@ class MultSelect(SelectPolicy):
         by_type: Dict[FUType, List[int]] = {}
         for entry in ctx.entries:
             by_type.setdefault(ctx.fu_of(entry), []).append(entry)
-        mask, grant = self._buffers(ctx.age_matrix.size)
         for fu, members in sorted(by_type.items(), key=lambda kv: kv[0].value):
             if avail[fu] <= 0 or len(granted) >= ctx.width:
                 continue
-            request = ctx.request_mask(members, out=mask)
-            oldest = ctx.age_matrix.select_single_oldest(request, out=grant)
-            if oldest.any():
-                entry = int(oldest.argmax())
-                granted.append(entry)
-                avail[fu] -= 1
+            granted.append(min(members, key=ctx.key_of))
+            avail[fu] -= 1
         rest = [e for e in ctx.entries if e not in granted]
         ctx.rng.shuffle(rest)
         return self._fill_greedy(ctx, granted, rest)
@@ -186,19 +173,16 @@ class OrinocoSelect(SelectPolicy):
         by_type: Dict[FUType, List[int]] = {}
         for entry in ctx.entries:
             by_type.setdefault(ctx.fu_of(entry), []).append(entry)
-        mask, grant = self._buffers(ctx.age_matrix.size)
+        # types in order of first appearance among the (ascending)
+        # entries; each contributes its cap oldest, in entry order
         for fu, members in by_type.items():
             cap = min(ctx.fu_available[fu], ctx.width)
             if cap <= 0:
                 continue
-            request = ctx.request_mask(members, out=mask)
-            grants = ctx.age_matrix.select_oldest(request, cap, out=grant)
-            union.extend(int(i) for i in np.flatnonzero(grants))
+            union.extend(ctx.oldest(members, cap))
         if len(union) <= ctx.width:
             return union
-        request = ctx.request_mask(union, out=mask)
-        grants = ctx.age_matrix.select_oldest(request, ctx.width, out=grant)
-        return [int(i) for i in np.flatnonzero(grants)]
+        return ctx.oldest(union, ctx.width)
 
 
 class IdealSelect(SelectPolicy):

@@ -36,7 +36,6 @@ from ..isa import trace_program
 from ..pipeline import O3Core
 from ..pipeline.config import COMMITS, CoreConfig, base_config
 from ..pipeline.events import EventBus
-from ..pipeline.lanes import LaneBatch, LaneCell, lane_key
 from ..testing import faults
 from .generator import (VerifyProgram, build_thread, generate_programs,
                         program_sha)
@@ -77,7 +76,7 @@ def _combo_config(model: str, policy: str) -> CoreConfig:
 
 # -- one program through the whole grid -------------------------------------
 
-def verify_program(program: VerifyProgram, lanes: int = 1,
+def verify_program(program: VerifyProgram,
                    fault_specs: Sequence[faults.FaultSpec] = (),
                    attempt: int = 1,
                    grid: Optional[Sequence[Tuple[str, str]]] = None) -> dict:
@@ -93,9 +92,9 @@ def verify_program(program: VerifyProgram, lanes: int = 1,
     built = [build_thread(program, t) for t in range(len(program.threads))]
     traces = [None] * len(built)
 
-    # (combo index, thread) -> subscriber; cells carry the same key
+    # (combo index, thread) -> subscriber
     subscribers: Dict[Tuple[int, int], WitnessSubscriber] = {}
-    cells: List[LaneCell] = []
+    cells: List[Tuple[int, int, CoreConfig, EventBus]] = []
     for c, (model, policy) in enumerate(grid):
         cid = cell_name(program.name, model, policy)
         faults.preflight(fault_specs, cid, attempt)
@@ -109,45 +108,20 @@ def verify_program(program: VerifyProgram, lanes: int = 1,
             bus = EventBus()
             bus.attach(subscriber)
             subscribers[(c, t)] = subscriber
-            cells.append(LaneCell((c, t), traces[t], config,
-                                  max_cycles=CELL_MAX_CYCLES, bus=bus))
+            cells.append((c, t, config, bus))
 
     errors: List[dict] = []
     failed: set = set()
-
-    def record_error(index, exc, tb: str = "") -> None:
-        c, t = index
-        model, policy = grid[c]
-        failed.add(c)
-        errors.append({"cell": cell_name(program.name, model, policy),
-                       "thread": t, "error": f"{type(exc).__name__}: {exc}",
-                       "traceback": tb})
-
-    if lanes > 1:
-        # group by structural compatibility key; batch-mates must share
-        # matrix layout (all verify configs share iq/rob sizes, but the
-        # ROB release policy differs across commit policies)
-        groups: Dict[tuple, List[LaneCell]] = {}
-        for cell in cells:
-            groups.setdefault(lane_key(cell.config), []).append(cell)
-        for group in groups.values():
-            config = group[0].config
-            batch = LaneBatch(lanes, config.iq_size, config.rob_size)
-            report = batch.run(group)
-            for outcome in report.outcomes:
-                if outcome.error is not None:
-                    record_error(outcome.index, outcome.error,
-                                 outcome.error_tb)
-                elif outcome.timed_out:
-                    record_error(outcome.index,
-                                 TimeoutError("cell timed out"))
-    else:
-        for cell in cells:
-            try:
-                O3Core(cell.trace, cell.config,
-                       bus=cell.bus).run(cell.max_cycles)
-            except Exception as exc:
-                record_error(cell.index, exc)
+    for c, t, config, bus in cells:
+        try:
+            O3Core(traces[t], config, bus=bus).run(CELL_MAX_CYCLES)
+        except Exception as exc:
+            model, policy = grid[c]
+            failed.add(c)
+            errors.append({"cell": cell_name(program.name, model, policy),
+                           "thread": t,
+                           "error": f"{type(exc).__name__}: {exc}",
+                           "traceback": ""})
 
     violations: List[dict] = []
     for c, (model, policy) in enumerate(grid):
@@ -174,11 +148,11 @@ def verify_program(program: VerifyProgram, lanes: int = 1,
 
 def _run_program(payload: tuple, attempt: int) -> tuple:
     """Module-level pool task: verify one program (picklable)."""
-    program_dict, lanes, faults_text = payload
+    program_dict, faults_text = payload
     try:
         specs = faults.parse_fault_specs(faults_text)
         program = VerifyProgram.from_dict(program_dict)
-        result = verify_program(program, lanes=lanes, fault_specs=specs,
+        result = verify_program(program, fault_specs=specs,
                                 attempt=attempt)
         return "ok", result
     except Exception as exc:
@@ -271,7 +245,7 @@ class CampaignResult:
         return "\n".join(lines)
 
 
-def run_campaign(seed: int, count: int, jobs: int = 1, lanes: int = 1,
+def run_campaign(seed: int, count: int, jobs: int = 1,
                  timeout: Optional[float] = None,
                  checkpoint: Optional[os.PathLike] = None,
                  fresh: bool = False, minimise: bool = True,
@@ -348,7 +322,7 @@ def run_campaign(seed: int, count: int, jobs: int = 1, lanes: int = 1,
                     task_id=task_id,
                     cell_id=f"verify/{programs[i].name}",
                     func=_run_program,
-                    payload=(programs[i].to_dict(), lanes, faults_text),
+                    payload=(programs[i].to_dict(), faults_text),
                     est_seconds=0.2))
             pool = get_pool(jobs)
 
@@ -369,7 +343,7 @@ def run_campaign(seed: int, count: int, jobs: int = 1, lanes: int = 1,
         else:
             for i in todo:
                 status, value = _run_program(
-                    (programs[i].to_dict(), lanes, faults_text), 1)
+                    (programs[i].to_dict(), faults_text), 1)
                 if status == "ok":
                     record(i, value)
                 else:
@@ -402,8 +376,7 @@ def run_campaign(seed: int, count: int, jobs: int = 1, lanes: int = 1,
                 continue
             try:
                 bundle_path = minimise_and_bundle(
-                    program, violation, lanes=lanes,
-                    faults_text=faults_text)
+                    program, violation, faults_text=faults_text)
                 result.bundles.append(str(bundle_path))
             except Exception as exc:
                 result.errors.append({

@@ -1,9 +1,9 @@
 """Pluggable workload targets: one registry for every trace source.
 
 The suite used to be a closed dict of synthetic kernels; everything
-downstream (cache keys, the worker rebuild protocol, lane grouping,
-figure sweeps) hard-coded that shape.  A :class:`WorkloadTarget` is the
-open replacement — anything that can deterministically produce a
+downstream (cache keys, the worker rebuild protocol, figure sweeps)
+hard-coded that shape.  A :class:`WorkloadTarget` is the open
+replacement — anything that can deterministically produce a
 :class:`~repro.isa.Trace` registers here and automatically joins the
 sweeps, the bench, and the characterisation table:
 

@@ -64,8 +64,8 @@ class TestCleanFinalState:
         assert core.rob_queue.occupancy() == 0
         assert core.lsq.lq_occupancy() == 0
         assert core.lsq.sq_occupancy() == 0
-        assert not core.merged.valid.any()
-        assert not core.iq_age.valid.any()
+        assert not core.spec_live
+        assert not core.iq_ops and not core.ready_set
         # every physical register beyond the architectural mappings is free
         assert core.rename.int_freelist.occupancy() == 32
         assert core.rename.fp_freelist.occupancy() == 32

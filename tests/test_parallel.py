@@ -92,37 +92,6 @@ class TestDeterminism:
                     fields(serial_reference[label][name]), \
                     f"{label}/{name} diverged at chunk={chunk}"
 
-    @pytest.mark.parametrize("lanes", [1, 4, 8])
-    def test_lane_batched_identical_to_serial(self, traces,
-                                              serial_reference, lanes):
-        """The lane-stacked engine is a storage-layout optimisation:
-        any lane width (1 = the untouched reference path) must be
-        invisible in the stats, against the same golden-pinned serial
-        reference as the workers/chunk/cache paths."""
-        for label, config in CONFIGS:
-            result = run_config(label, config, traces, workers=1,
-                                use_cache=False, lanes=lanes)
-            for name in WORKLOADS:
-                assert fields(result.stats[name]) == \
-                    fields(serial_reference[label][name]), \
-                    f"{label}/{name} diverged at lanes={lanes}"
-            if lanes > 1:
-                assert result.lane_batches, \
-                    "lane path not exercised despite lanes > 1"
-                assert result.mean_lane_occupancy() > 1.0
-
-    def test_lanes_compose_with_workers(self, traces, serial_reference):
-        """Lane groups dispatched through the worker pool (one batch
-        per task) still return field-identical per-cell stats."""
-        for label, config in CONFIGS:
-            result = run_config(label, config, traces, workers=2,
-                                use_cache=False, lanes=2)
-            for name in WORKLOADS:
-                assert fields(result.stats[name]) == \
-                    fields(serial_reference[label][name]), \
-                    f"{label}/{name} diverged at workers=2, lanes=2"
-            assert result.lane_batches
-
     def test_cache_hits_bit_identical(self, traces, serial_reference,
                                       tmp_path):
         cache = ResultCache(tmp_path)
@@ -182,6 +151,38 @@ class TestExecutor:
                    for result in results.values())
         assert hits >= len(WORKLOADS), \
             f"expected >= {len(WORKLOADS)} trace-LRU hits, got {hits}"
+
+    def test_in_process_path_reuses_job_traces(self, traces):
+        """Jobs built from the caller's traces simulate those objects:
+        the in-process path builds no trace at all."""
+        from repro.workloads.suite import trace_cache_stats
+        jobs = (jobs_for("A", CONFIGS[0][1], traces)
+                + jobs_for("B", CONFIGS[1][1], traces))
+        before = trace_cache_stats()["misses"]
+        results = run_suite(jobs, workers=1)
+        assert trace_cache_stats()["misses"] == before
+        assert all(result.trace_cache_hits() == len(WORKLOADS)
+                   for result in results.values())
+
+    def test_in_process_path_groups_cells_by_workload(self, traces,
+                                                      monkeypatch):
+        """Jobs without a trace go through the trace LRU; in-process
+        they run grouped by (workload, scale), so even a one-entry LRU
+        builds each workload once — job order would rebuild per cell."""
+        from repro.workloads import clear_trace_cache
+        from repro.workloads.suite import trace_cache_stats
+        monkeypatch.setenv("REPRO_TRACE_CACHE", "1")
+        jobs = [Job(label, config, name, SCALE)
+                for label, config in CONFIGS for name in WORKLOADS]
+        clear_trace_cache()
+        try:
+            results = run_suite(jobs, workers=1)
+            assert trace_cache_stats()["misses"] == len(WORKLOADS)
+        finally:
+            clear_trace_cache()
+        assert list(results) == [label for label, _ in CONFIGS]
+        for label, _ in CONFIGS:
+            assert list(results[label].stats) == WORKLOADS
 
     def test_worker_path_reports_queueing(self, traces):
         label, config = CONFIGS[0]

@@ -1,25 +1,26 @@
 """Steady-state allocation guard and REPRO_CHECK self-verification.
 
-The PR 4 hot-path work preallocates every per-cycle buffer (matrix
-scratch, select masks, group accumulators) so the cycle loop constructs
-no new NumPy arrays in steady state.  This guard pins that property:
-after a warm-up, a window of fully stepped cycles must execute without
-a single call to a NumPy array *constructor* (``np.zeros`` /
-``np.empty`` / ``np.ones`` / ``np.full`` / ``np.arange``).
+The cycle loop constructs no new NumPy arrays in steady state.  This
+guard pins that property: after a warm-up, a window of fully stepped
+cycles must execute without a single call to a NumPy array
+*constructor* (``np.zeros`` / ``np.empty`` / ``np.ones`` / ``np.full``
+/ ``np.arange``).  A default core also allocates no ``(N, N)`` array
+at all: the IQ/ROB schedulers run from age keys, dependent lists and
+the SPEC frontier, not from the :mod:`repro.core` matrices.
 
-The shim counts Python-level constructor calls, which is exactly the
-contract the scratch-buffer convention establishes.  (C-level
-temporaries inside ufuncs are invisible to any Python shim and are not
-what the convention governs.)
+The shim counts Python-level constructor calls.  (C-level temporaries
+inside ufuncs are invisible to any Python shim.)
 
 Set ``REPRO_NO_PERF_GUARD=1`` to skip the guard, e.g. when bisecting
 an unrelated failure on a machine where the engine is being hacked on.
 
 The second half exercises ``REPRO_CHECK=1``: with checking latched on,
-the incremental ready/commit-eligible caches recompute every answer
-from the full matrix reduction and must agree over whole runs.
+the pipeline mirrors every event into the matrix reference model and
+compares its answers with the keys every cycle; checked and unchecked
+runs must agree over whole runs, and a corrupted key must be caught.
 """
 
+import dataclasses
 import os
 import unittest.mock
 
@@ -27,8 +28,8 @@ import numpy as np
 import pytest
 
 from repro.core import check
+from repro.criticality import CriticalityTagger, clear_tags
 from repro.pipeline import O3Core, base_config
-from repro.pipeline.lanes import LaneBatch, LaneCell, _Lane
 from repro.workloads import build_trace
 
 pytestmark = pytest.mark.skipif(
@@ -86,41 +87,43 @@ def test_steady_state_cycles_allocate_nothing(scheduler, commit):
         f"over {GUARDED_STEPS} cycles — a scratch buffer regressed")
 
 
-def test_vectorized_lane_loop_allocates_nothing():
-    """The cross-lane fused kernels preallocate all their scratch
-    (select stamps, broadcast pairs, landing rows) in the engine
-    constructor, growing only on first contact with a bigger batch.
-    After warm-up, a window of full-batch engine steps must run
-    without a single Python-level NumPy constructor call."""
-    trace = build_trace("mcf.chase", scale=0.5)
-    config = base_config(scheduler="age", commit="ioc")
-    batch = LaneBatch(4, config.iq_size, config.rob_size)
-    lanes = []
-    for slot_id in range(4):
-        core = O3Core(trace, config, slot=batch.stack.slot(slot_id))
-        lanes.append(_Lane(slot_id, LaneCell(slot_id, trace, config),
-                           core, None, 0.0))
-        assert lanes[-1].vec_ok
-    engine = batch.engine
-    for _ in range(WARMUP_STEPS):
-        assert not engine.step(lanes)
-    assert not any(lane.core.done() for lane in lanes), \
-        "trace too small to reach steady state"
+def _recording_shim(shapes):
+    patchers = []
+    for name in CONSTRUCTORS:
+        original = getattr(np, name)
 
-    counts = {}
-    patchers = _counting_shim(counts)
+        def recorded(*args, _original=original, **kwargs):
+            result = _original(*args, **kwargs)
+            shapes.append(result.shape)
+            return result
+
+        patchers.append(unittest.mock.patch.object(np, name, recorded))
+    return patchers
+
+
+@pytest.mark.parametrize("scheduler,commit", [
+    ("age", "ioc"),
+    ("orinoco", "orinoco"),
+])
+def test_default_core_allocates_no_square_matrix(scheduler, commit):
+    """Construction and a whole run of a default (unchecked) core build
+    no IQ- or ROB-sized (N, N) array."""
+    check.reset()
+    trace = build_trace("perl.branchy", scale=0.1)
+    config = base_config(scheduler=scheduler, commit=commit)
+    shapes = []
+    patchers = _recording_shim(shapes)
     for patcher in patchers:
         patcher.start()
     try:
-        for _ in range(GUARDED_STEPS):
-            assert not engine.step(lanes)
+        O3Core(trace, config).run()
     finally:
         for patcher in patchers:
             patcher.stop()
-    assert not counts, (
-        f"vectorized lane steps constructed NumPy arrays: {counts} "
-        f"over {GUARDED_STEPS} steps — an engine scratch buffer "
-        f"regressed")
+    square = [shape for shape in shapes
+              if shape in ((config.iq_size, config.iq_size),
+                           (config.rob_size, config.rob_size))]
+    assert not square, f"default core allocated {square}"
 
 
 class TestReproCheck:
@@ -137,6 +140,14 @@ class TestReproCheck:
         monkeypatch.setenv("REPRO_CHECK", "0")
         assert not check.check_enabled()
 
+    @staticmethod
+    def _run(trace, config, checked):
+        check.set_enabled(checked)
+        try:
+            return dataclasses.asdict(O3Core(trace, config).run())
+        finally:
+            check.reset()
+
     @pytest.mark.parametrize("scheduler,commit", [
         ("age", "ioc"),
         ("orinoco", "orinoco"),
@@ -145,36 +156,81 @@ class TestReproCheck:
     def test_checked_run_matches_unchecked(self, scheduler, commit):
         """A checked run must complete without CheckError and produce
         the same statistics as the unchecked engine."""
-        import dataclasses
         trace = build_trace("xalanc.hash", scale=0.3)
         config = base_config(scheduler=scheduler, commit=commit)
-        check.set_enabled(False)
-        baseline = O3Core(trace, config).run()
-        check.set_enabled(True)
+        assert self._run(trace, config, True) == \
+            self._run(trace, config, False)
+
+    @pytest.mark.parametrize("scheduler,commit", [
+        ("orinoco", "orinoco"),
+        ("age", "rob"),
+    ])
+    def test_checked_squash_run_matches_unchecked(self, scheduler, commit):
+        """``sys.drain`` squashes on precise exceptions: the squashed
+        entries must leave the SPEC set and the matrices alike."""
+        trace = build_trace("sys.drain", scale=0.3)
+        config = base_config(scheduler=scheduler, commit=commit)
+        assert self._run(trace, config, True) == \
+            self._run(trace, config, False)
+
+    def test_checked_cri_run_matches_unchecked(self):
+        """CRI with real tags: the criticality encoding is compared
+        against the age-matrix order every cycle."""
+        trace = build_trace("xalanc.hash", scale=0.3)
+        profiler = O3Core(trace, base_config(scheduler="age"))
+        profiler.run()
+        tagger = CriticalityTagger()
+        tagger.feed_profile(profiler.pc_l1_misses, profiler.pc_mispredicts)
+        config = base_config(scheduler="cri", commit="orinoco")
         try:
-            checked = O3Core(trace, config).run()
+            assert tagger.tag(trace) > 0
+            checked = self._run(trace, config, True)
+            unchecked = self._run(trace, config, False)
         finally:
-            check.reset()
-        assert dataclasses.asdict(checked) == dataclasses.asdict(baseline)
+            clear_tags(trace)
+        assert checked == unchecked
+
+    @staticmethod
+    def _step_until(core, ready, limit=2000):
+        for _ in range(limit):
+            if ready():
+                return
+            core.step()
+        pytest.fail("state never reached")
 
     def test_check_error_raised_on_seeded_divergence(self):
-        """Corrupting a cached pending counter must trip the cross-check
-        (proves the checked path actually compares)."""
+        """A bumped ``iq_pending`` disagrees with the wakeup matrix: the
+        per-cycle comparison must raise (proves it compares)."""
         from repro.core.check import CheckError
         trace = build_trace("gcc.mix", scale=0.2)
         config = base_config(scheduler="age", commit="ioc")
         check.set_enabled(True)
         try:
             core = O3Core(trace, config)
-            wakeup = core.state.wakeup
-            for _ in range(500):
-                if wakeup.valid.any():
-                    break
-                core.step()
-            entry = int(np.flatnonzero(wakeup.valid)[0])
-            wakeup._pending[entry] += 1                  # corrupt cache
-            wakeup._dirty = True
-            with pytest.raises(CheckError):
-                wakeup.ready()
+            self._step_until(core, lambda: core.iq_ops)
+            core.state.shadow.verify(core.state)         # healthy
+            op = next(iter(core.iq_ops.values()))
+            op.iq_pending += 1                           # corrupt key
+            with pytest.raises(CheckError, match="wakeup"):
+                core.state.shadow.verify(core.state)
+        finally:
+            check.reset()
+
+    def test_check_error_raised_on_dropped_spec_seq(self):
+        """A speculative seq dropped from the SPEC set moves the
+        frontier past it: the merged matrix still says unsafe."""
+        from repro.core.check import CheckError
+        trace = build_trace("gcc.mix", scale=0.2)
+        config = base_config(scheduler="orinoco", commit="orinoco")
+        check.set_enabled(True)
+        try:
+            core = O3Core(trace, config)
+            self._step_until(core, lambda: any(
+                seq > min(core.spec_live, default=seq)
+                for seq, op in core.window.items() if not op.wrong_path))
+            core.state.shadow.verify(core.state)         # healthy
+            core.spec_live.discard(min(core.spec_live))  # corrupt SPEC
+            with pytest.raises(CheckError, match="SPEC frontier"):
+                core.state.shadow.verify(core.state)
         finally:
             check.reset()

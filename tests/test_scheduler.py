@@ -1,33 +1,36 @@
-"""Issue selection policies over the age matrix."""
+"""Issue selection policies over the age order (age keys)."""
 
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import AgeMatrix
 from repro.pipeline import FUType
+from repro.pipeline.stages.state import NONCRITICAL
 from repro.scheduler import (AgeSelect, IdealSelect, MultSelect,
                              OrinocoSelect, RandomSelect, SelectContext,
                              make_select_policy)
+
+
+def age_keys(dispatch_order, critical=()):
+    """Age key per entry: the age matrix's order, critical entries
+    first, each group in dispatch order."""
+    return {entry: i + (0 if entry in critical else NONCRITICAL)
+            for i, entry in enumerate(dispatch_order)}
 
 
 def make_ctx(entries_with_fu, dispatch_order, fu_available, width,
              critical=()):
     """entries_with_fu: dict entry -> FUType; dispatch_order: list of
     entries oldest-first."""
-    size = 32
-    age = AgeMatrix(size)
-    for entry in dispatch_order:
-        age.dispatch(entry, critical=entry in critical)
+    keys = age_keys(dispatch_order, critical)
     order_index = {entry: i for i, entry in enumerate(dispatch_order)}
     return SelectContext(
         entries=sorted(entries_with_fu),
         fu_of=lambda e: entries_with_fu[e],
+        key_of=lambda e: keys[e],
         age_of=lambda e: order_index[e],
-        age_matrix=age,
         fu_available=fu_available,
         width=width,
         rng=random.Random(1))
@@ -135,7 +138,7 @@ class TestFactory:
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_orinoco_equals_ideal_oracle(data):
-    """Property (§3.1): the bit-count selection over the age matrix
+    """Property (§3.1): the bit-count selection over the age order
     grants exactly what an oracle sorting by true age would, under any
     mix of FU types, availability, and width."""
     size = 24
@@ -152,14 +155,13 @@ def test_orinoco_equals_ideal_oracle(data):
     perm = data.draw(st.permutations(order))
 
     def build(policy):
-        age = AgeMatrix(size)
-        for entry in perm:
-            age.dispatch(entry)
+        keys = age_keys(perm)
         index = {e: i for i, e in enumerate(perm)}
         ctx = SelectContext(entries=sorted(entries),
                             fu_of=lambda e: fus[e],
+                            key_of=lambda e: keys[e],
                             age_of=lambda e: index[e],
-                            age_matrix=age, fu_available=avail,
+                            fu_available=avail,
                             width=width, rng=random.Random(0))
         return policy.select(ctx)
 

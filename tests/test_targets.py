@@ -2,8 +2,8 @@
 
 The acceptance pin lives here: a trace recorded from a kernel and
 re-imported as a trace-file target must simulate field-identical to
-the in-memory kernel across the serial, ``--jobs 2``, ``--lanes 4``,
-and cache-hit execution paths.
+the in-memory kernel across the serial, ``--jobs 2`` and cache-hit
+execution paths.
 """
 
 import dataclasses
@@ -213,11 +213,6 @@ class TestTraceFileDeterminismPin:
         self._assert_matches(
             run_config("pin", self.config, self.traces, workers=2,
                        use_cache=False), "--jobs 2")
-
-    def test_lanes_4(self):
-        self._assert_matches(
-            run_config("pin", self.config, self.traces, workers=1,
-                       lanes=4, use_cache=False), "--lanes 4")
 
     def test_cache_hit(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")

@@ -100,12 +100,6 @@ class TestGrid:
             assert result["violations"] == [], name
             assert result["errors"] == [], name
 
-    def test_lane_path_matches_serial(self):
-        serial = verify_program(CLASSIC_SHAPES["sb"], lanes=1)
-        laned = verify_program(CLASSIC_SHAPES["sb"], lanes=4)
-        assert laned["violations"] == serial["violations"] == []
-        assert laned["combos"] == serial["combos"]
-
 
 # -- the interleaving oracle ------------------------------------------------
 
